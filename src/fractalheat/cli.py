@@ -360,14 +360,20 @@ def cmd_solve(cfg: dict) -> list[str]:
     write_realization(prob.realization, os.path.join(out, "realization.txt"))
     with open(os.path.join(out, "gate.txt"), "w", encoding="utf-8") as f:
         f.write(str(prob.gate) + "\n")
-    return ["solution.csv", "diagnostics.csv", "realization.txt", "gate.txt"]
+    files = ["solution.csv", "diagnostics.csv", "realization.txt", "gate.txt"]
+    if not sol.converged:
+        raise FailedWithArtifacts(
+            f"no convergence in {sol.iterations} Picard sweeps; last sweep "
+            f"sup g_n = {float(sol.g_history[-1].max()):.3e}", files)
+    return files
 
 
-class SuiteFailed(RuntimeError):
-    """Verify suite had failing checks; artifacts were still written."""
+class FailedWithArtifacts(RuntimeError):
+    """The result failed a check (a verify suite, a Picard convergence) after
+    its artifacts were written."""
 
-    def __init__(self, files):
-        super().__init__("verification suite failed")
+    def __init__(self, message, files):
+        super().__init__(message)
         self.files = files
 
 
@@ -379,7 +385,8 @@ def cmd_verify(cfg: dict) -> list[str]:
     report.to_csv(os.path.join(out, "report.csv"))
     print(report.summary())
     if not report.passed:
-        raise SuiteFailed(["report.txt", "report.csv"])
+        raise FailedWithArtifacts("verification suite failed",
+                                  ["report.txt", "report.csv"])
     return ["report.txt", "report.csv"]
 
 
@@ -411,7 +418,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SuiteFailed as exc:
+    except FailedWithArtifacts as exc:
+        print(f"error: {exc}", file=sys.stderr)
         out = _outdir(cfg)
         exc.files.append(os.path.basename(_echo_config(cfg, out)))
         _write_manifest(out, exc.files)

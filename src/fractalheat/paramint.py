@@ -1,11 +1,13 @@
 """Stochastic parameter integrals eta(z) = int h(z, y) dmu(y) by multiscale cell sums.
 
 The integrand is h((t, x), y) = int_0^t p(t - s, x, y) sigma(s, y) ds.  The s
-integral is evaluated on dyadic panels graded toward s = t (where the kernel
-behaves like (t - s)^{-d_s/2} on the diagonal until the lattice plateau),
-with fixed-order Gauss-Legendre nodes per panel; kernel values come from the
-spectral form, exact in t - s.  The head piece below t * 2^-panel_depth is
-bounded by its length times the density ceiling 1/min(m) and is dropped.
+integral runs through the kernel's Duhamel rule (HeatKernel.duhamel): on each
+step of a grid from 0, refined so no step exceeds ETA_MAX_STEP * T, sigma is
+interpolated at Gauss nodes and the semigroup factor exp(lam (t - s)) is
+integrated exactly in every eigenvalue.  eval_h keeps the older, independent
+rule as an oracle: Gauss-Legendre panels graded dyadically toward s = t, whose
+dropped head below t * 2^-panel_depth is bounded by its length times the
+density ceiling 1/min(m).
 
 eta is approximated by S^(n)(z) = sum_cells h(z, anchor) mass(cell); anchors
 deeper than the kernel level are snapped to the nearest kernel vertex.  All
@@ -38,6 +40,10 @@ __all__ = [
     "path_regularity_report",
     "HolderRegression",
 ]
+
+
+# longest step of the Duhamel grid, as a fraction of the horizon T
+ETA_MAX_STEP = 1.0 / 64
 
 
 class ParamIntegralError(RuntimeError):
@@ -102,9 +108,10 @@ def sigma_preset(name: str, model: FractalModel | None = None, T: float = 1.0,
 
 
 def quad_nodes(t: float, panel_depth: int = 50, gl_order: int = 8):
-    """Gauss-Legendre nodes/weights in tau = t - s on dyadic panels
-    [t 2^-(k+1), t 2^-k]; the dropped head [0, t 2^-panel_depth] is bounded by
-    length * density ceiling, far below the 1e-8 budget for shipped levels."""
+    """Oracle rule of eval_h: Gauss-Legendre nodes/weights in tau = t - s on
+    dyadic panels [t 2^-(k+1), t 2^-k]; the dropped head [0, t 2^-panel_depth]
+    is bounded by length * density ceiling, far below the 1e-8 budget for
+    shipped levels."""
     if t <= 0:
         raise ParamIntegralError("quadrature needs t > 0")
     gx, gw = np.polynomial.legendre.leggauss(gl_order)
@@ -189,33 +196,39 @@ def eval_h(hf: HFunction, t: float, x_id: int, y_id: int,
     return val
 
 
-def _h_weighted_modes(hf: HFunction, t: float) -> np.ndarray:
-    """G0[k, y] = sum_q w_q exp(lam_k tau_q) sigma(t - tau_q, y); the mode-space
-    kernel of the s-quadrature, shared by matrix/row evaluation."""
-    kern = hf.kernel
-    taus, wts = quad_nodes(t, hf.panel_depth, hf.gl_order)
-    with np.errstate(under="ignore"):
-        E = np.exp(np.outer(kern.eigenvalues, taus))    # (V, Q)
-    S = np.stack([hf.sigma(t - tau, hf.points) for tau in taus])  # (Q, V)
-    return (E * wts[None, :]) @ S                        # (V, V)
+def _duhamel_grid(hf: HFunction, times) -> tuple[np.ndarray, np.ndarray]:
+    """Grid from 0 through the distinct times, each gap split into equal steps
+    of at most ETA_MAX_STEP * T, and the grid index of every time."""
+    times = np.asarray(times, dtype=float)
+    for t in times:
+        hf._check_time(float(t))
+    knots, inverse = np.unique(times, return_inverse=True)
+    knots = np.concatenate([[0.0], knots])
+    # a gap equal to the step limit up to rounding stays a single step
+    n = np.maximum(np.ceil(np.diff(knots) / (ETA_MAX_STEP * hf.T) - 1e-9), 1).astype(int)
+    pieces = [np.linspace(a, b, k + 1)[1:] for a, b, k in zip(knots[:-1], knots[1:], n)]
+    return np.concatenate([[0.0]] + pieces), np.cumsum(n)[inverse]
+
+
+def _h_modes(hf: HFunction, t: float) -> np.ndarray:
+    """(B^T * G0)[k, y] with G0[k, y] = int_0^t exp(lam_k (t - s)) sigma(s, y) ds
+    by the Duhamel rule; h = B @ this."""
+    grid, _ = _duhamel_grid(hf, [t])
+    nodes, weights = hf.kernel.duhamel_modes(grid)                  # (Q,), (V, Q)
+    pts = hf.points
+    S = np.stack([hf.sigma(s, pts) for s in nodes])                # (Q, V)
+    return hf.kernel.B.T * (weights @ S)
 
 
 def h_matrix(hf: HFunction, t: float) -> np.ndarray:
     """All-pairs matrix H[x, y] = h((t, x), y); one V^3 product per time."""
-    hf._check_time(t)
-    if hf.kernel.B is None:
-        raise ParamIntegralError("matrix path needs the spectral kernel form")
-    B = hf.kernel.B
-    G0 = _h_weighted_modes(hf, t)
-    return B @ (B.T * G0)
+    return hf.kernel.B @ _h_modes(hf, t)
 
 
 def h_row(hf: HFunction, t: float, x_id: int) -> np.ndarray:
-    """Row h((t, x_id), y) over all kernel vertices y at V^2 cost."""
-    hf._check_time(t)
-    B = hf.kernel.B
-    G0 = _h_weighted_modes(hf, t)
-    return (B[x_id][:, None] * (B.T * G0)).sum(axis=0)
+    """Row h((t, x_id), y) over all kernel vertices y at V^2 cost per
+    quadrature node."""
+    return hf.kernel.B[x_id] @ _h_modes(hf, t)
 
 
 @dataclass
@@ -272,8 +285,9 @@ def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
     """Evaluate the cell-sum scheme on (z_times x x_ids).
 
     For each level the cell masses are aggregated onto their (snapped) anchor
-    vertices, so each time costs one h matrix plus cheap matvecs; the result
-    matches integrate() with g = h(z, .) up to summation order.
+    vertices; one Duhamel sweep over the grid then carries the sources
+    sigma(s, .) * agg_n of all levels at once, so no V x V matrix is formed.
+    The result matches integrate() with g = h(z, .) up to summation order.
     """
     if real.n_max < n_max:
         raise ParamIntegralError("measure realization shallower than n_max")
@@ -289,10 +303,16 @@ def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
     for n in range(n_max + 1):
         ids = hf.snap_ids(n, anchor_rule)
         np.add.at(agg[n], ids, real.level_masses(n))
-    partial = np.empty((n_max + 1, len(times), len(x_ids)))
-    for i, t in enumerate(times):
-        H = h_matrix(hf, float(t))[x_ids]          # (X, V)
-        partial[:, i, :] = agg @ H.T               # (levels, X)
+    # the operator integrates against the vertex weights, eta against mu
+    per_weight = (agg / kern.weights).T                            # (V, levels)
+    pts = hf.points
+
+    def source(nodes):
+        return np.stack([hf.sigma(s, pts)[:, None] * per_weight for s in nodes])
+
+    grid, at = _duhamel_grid(hf, times)
+    vals = kern.duhamel(grid, source, ids=x_ids)                   # (G, X, levels)
+    partial = vals[at].transpose(2, 0, 1)
     return EtaEvaluation(times, x_ids, kern.gen.points[x_ids], partial, anchor_rule)
 
 
@@ -307,17 +327,13 @@ def estimate_h_holder(hf: HFunction, t: float, x_id: int, pairs_per_scale: int =
                       seed: int = 0) -> HolderRegression:
     """log-log regression of |h(z,y1) - h(z,y2)| on |y1 - y2| over cell-sharing
     vertex pairs at every depth (target exponent min{d_w - d_f, sigma exponent})."""
-    from .kernel import _multiscale_pairs
+    from .kernel import _kept_pairs, _multiscale_pairs
 
     vs = hf.kernel.gen.vs
     if vs.level < 3:
         raise ParamIntegralError("need kernel level >= 3 for enough pair scales")
     rng = np.random.default_rng(seed)
-    pairs = np.array(_multiscale_pairs(vs, rng, pairs_per_scale))
-    kept_pos = {v: i for i, v in enumerate(hf.kernel.gen.kept)}
-    keep = np.array([kept_pos.get(a, -1) >= 0 and kept_pos.get(b, -1) >= 0
-                     for a, b in pairs])
-    pairs = np.array([[kept_pos[a], kept_pos[b]] for a, b in pairs[keep]])
+    pairs = _kept_pairs(hf.kernel.gen, _multiscale_pairs(vs, rng, pairs_per_scale))
     row = h_row(hf, t, x_id)
     pts = hf.points
     dist = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)

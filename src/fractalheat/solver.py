@@ -7,7 +7,10 @@ The fixed-point map is
             + eta(t, x),
 
 where eta is the frozen stochastic parameter integral (it does not depend on u,
-so it is computed once per run).  Iteration starts from u = 0; successive
+so it is computed once per run).  The time integral of the nonlinear term runs
+through the kernel's Duhamel rule: u is linear in time between grid rows, f is
+sampled at the Gauss nodes of each grid step, and exp(lam (t - s)) is
+integrated exactly in every eigenvalue.  Iteration starts from u = 0; successive
 differences g_n(t) = sup_x |u^(n+1) - u^(n)|(t) contract factorially in K_f t
 and the run stops on their sup or after max_iter sweeps.
 
@@ -29,7 +32,7 @@ import numpy as np
 from .geometry import FractalModel, vertex_set
 from .kernel import HeatKernel, build_generator
 from .measure import BaseSM, realize
-from .paramint import HFunction, SigmaFunction, eval_eta, quad_nodes, sigma_preset
+from .paramint import HFunction, SigmaFunction, eval_eta, sigma_preset
 
 __all__ = [
     "Nonlinearity",
@@ -194,13 +197,6 @@ class PreparedProblem:
                                    spec.component_weights)
         self.times = np.linspace(0.0, spec.T, spec.n_steps + 1)
         self.u0_values = spec.u0(self.points)
-        self._node_cache = {}
-
-    def quad(self, t: float):
-        if t not in self._node_cache:
-            self._node_cache[t] = quad_nodes(t, self.hfunction.panel_depth,
-                                             self.hfunction.gl_order)
-        return self._node_cache[t]
 
 
 def prepare(spec: ProblemSpec) -> PreparedProblem:
@@ -293,23 +289,17 @@ def _interp_rows(times: np.ndarray, field: np.ndarray, s: np.ndarray) -> np.ndar
     return (1 - w[:, None]) * field[idx] + w[:, None] * field[idx + 1]
 
 
-def _nl_field(prob: PreparedProblem, u: np.ndarray) -> np.ndarray:
-    """Nonlinear term on the grid for the current iterate u."""
-    spec = prob.spec
-    kern = prob.kernel
-    B, lam, m = kern.B, kern.eigenvalues, prob.m
-    out = np.zeros_like(u)
-    for i, t in enumerate(prob.times[1:], start=1):
-        taus, wts = prob.quad(float(t))
-        svals = t - taus
-        u_s = _interp_rows(prob.times, u, svals)            # (Q, V)
-        fv = np.stack([spec.f(s, prob.points, u_s[q])
-                       for q, s in enumerate(svals)])       # (Q, V)
-        ghat = B.T @ (m[:, None] * fv.T)                    # (V, Q)
-        with np.errstate(under="ignore"):
-            acc = (np.exp(np.outer(lam, taus)) * ghat * wts[None, :]).sum(axis=1)
-        out[i] = B @ acc
-    return out
+def _nl_field(prob: PreparedProblem, u: np.ndarray, times=None, ids=None) -> np.ndarray:
+    """Nonlinear term int_0^t P(t - s) f(s, ., u(s, .)) ds for the iterate u
+    (rows on the solve grid), at the given grid times (default the solve
+    grid) and vertex rows ids (default all)."""
+    f, pts = prob.spec.f, prob.points
+
+    def source(nodes):
+        u_s = _interp_rows(prob.times, u, nodes)
+        return np.stack([f(s, pts, u_s[q]) for q, s in enumerate(nodes)])
+
+    return prob.kernel.duhamel(prob.times if times is None else times, source, ids)
 
 
 def deterministic_term(prob: PreparedProblem, t: float, x_id: int) -> float:
@@ -321,16 +311,8 @@ def nonlinear_term(prob: PreparedProblem, u_field: np.ndarray, t: float,
                    x_id: int) -> float:
     if t == 0:
         return 0.0
-    taus, wts = quad_nodes(float(t), prob.hfunction.panel_depth,
-                           prob.hfunction.gl_order)
-    svals = t - taus
-    u_s = _interp_rows(prob.times, u_field, svals)
-    fv = np.stack([prob.spec.f(s, prob.points, u_s[q]) for q, s in enumerate(svals)])
-    kern = prob.kernel
-    ghat = kern.B.T @ (prob.m[:, None] * fv.T)
-    with np.errstate(under="ignore"):
-        acc = (np.exp(np.outer(kern.eigenvalues, taus)) * ghat * wts[None, :]).sum(axis=1)
-    return float((kern.B[x_id] * acc).sum())
+    grid = np.append(prob.times[prob.times < t], t)
+    return float(_nl_field(prob, u_field, grid, [x_id])[-1, 0])
 
 
 def stochastic_term(prob: PreparedProblem, t: float, x_id: int) -> float:

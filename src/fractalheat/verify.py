@@ -28,7 +28,10 @@ BALANCE_TOL = 1e-10
 ADDITIVITY_TOL = 1e-12
 VARIANCE_RTOL = 0.05
 UNIQUENESS_TOL = 1e-7
-RESIDUAL_TOL = 4e-8          # 2 x (stopping tolerance + quadrature tolerance)
+# the residual of the last iterate is one more Picard increment, below twice
+# the stopping tolerance; mild_residual applies the same Duhamel rule as the
+# solve, so the rule's own error (< 1e-9 under p-refinement) is not seen here
+RESIDUAL_TOL = 4e-8
 FACTORIAL_SLACK = 1.1
 G1_SLACK = 1e-6
 

@@ -187,6 +187,15 @@ class TestArtifacts:
             assert (tmp_path / name).exists()
         assert "overall: PASS" in (tmp_path / "gate.txt").read_text()
 
+    def test_nonconverged_solve_fails(self, tmp_path, capsys):
+        # K_f T = 24 is far past what 25 sweeps contract on this grid
+        rc = main(["solve", "--model", "vicsek", "--level", "2", "--depth", "3",
+                   "--f", "sin:24", "--out", str(tmp_path)])
+        assert rc == EXIT_COMPUTE
+        assert "no convergence" in capsys.readouterr().err
+        for name in ("solution.csv", "diagnostics.csv", "MANIFEST.txt"):
+            assert (tmp_path / name).exists()
+
 
 class TestReproducibility:
     def test_byte_identical_runs(self, tmp_path):

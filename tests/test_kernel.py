@@ -12,6 +12,8 @@ from fractalheat.kernel import (
     HeatKernelTable,
     KernelError,
     build_generator,
+    duhamel_rule,
+    duhamel_weights,
     estimate_spectral_dimension,
     fit_subgaussian,
     kernel,
@@ -215,6 +217,105 @@ class TestHolder:
     def test_level_too_low(self, table_cache, vicsek):
         with pytest.raises(KernelError):
             verify_holder(table_cache("vicsek", 1), vicsek)
+
+    def test_dirichlet_pairs_stay_aligned(self, kernel_cache, vicsek):
+        # Dirichlet drops the outer corners: a pair touching one goes as a
+        # whole and every other pair keeps its partner.  Replays the sampling
+        # of verify_holder with the aligned pairs and compares counts and slopes.
+        kern = kernel_cache("vicsek", 3, 0, "dirichlet")
+        times = np.array([0.01, 0.1])
+        tab = HeatKernelTable(kern, times, kern.diag_density(times), None)
+        fit = verify_holder(tab, vicsek, times=times, seed=4)
+        rng = np.random.default_rng(4)
+        pairs = K._multiscale_pairs(kern.gen.vs, rng, 60)
+        pos = {v: i for i, v in enumerate(kern.gen.kept)}
+        pa, pb = np.array([(pos[a], pos[b]) for a, b in pairs
+                           if a in pos and b in pos]).T
+        assert len(pa) < len(pairs)       # the sample does touch the boundary
+        dist = np.linalg.norm(kern.gen.points[pa] - kern.gen.points[pb], axis=1)
+        pa, pb, dist = pa[dist > 0], pb[dist > 0], dist[dist > 0]
+        xs = rng.choice(np.arange(kern.n_vertices), size=24, replace=False)
+        used = 0
+        for t, slope, _ in fit.per_time:
+            rows = kern.density_rows(t, xs, clip=False)
+            dp = np.abs(rows[:, pa] - rows[:, pb])
+            mask = dp > 1e-13 * rows.max()
+            used += int(mask.sum())
+            ld = np.log(np.broadcast_to(dist, dp.shape)[mask])
+            assert slope == pytest.approx(np.polyfit(ld, np.log(dp[mask]), 1)[0],
+                                          abs=1e-12)
+        assert fit.n_pairs == used
+
+
+class TestDuhamel:
+    @pytest.mark.parametrize("z", [0.0, 1e-10, -1e-10, -1e-3, -1.0, -50.0, -1e4])
+    @pytest.mark.parametrize("order", [K.DUHAMEL_ORDER, 12])
+    def test_weights_match_adaptive_quadrature(self, z, order):
+        from scipy.integrate import quad
+        from scipy.interpolate import BarycentricInterpolator
+
+        theta, _ = duhamel_rule(order)
+        W = duhamel_weights([z], order)[0]
+        for j in range(order):
+            basis = BarycentricInterpolator(theta, np.eye(order)[j])
+            if z < -10:
+                # substitute u = |z| (1 - theta): the mass sits in u = O(1)
+                a = -z
+                ref = quad(lambda u: math.exp(-u) * basis(1 - u / a), 0, a,
+                           points=[1, 10, 40], limit=200, epsabs=1e-16)[0] / a
+            else:
+                ref = quad(lambda x: math.exp(z * (1 - x)) * basis(x), 0, 1,
+                           epsabs=1e-16)[0]
+            assert W[j] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+    def test_constant_source_gives_t(self, kernel_cache):
+        # the reflecting semigroup conserves constants
+        kern = kernel_cache("vicsek", 3)
+        grid = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 9)])
+        out = kern.duhamel(grid, lambda s: np.ones((len(s), kern.n_vertices)))
+        assert np.abs(out - grid[:, None]).max() < 1e-12
+
+    def test_eigenmode_identity(self, kernel_cache):
+        # g(s) = exp(mu s) phi_k with L phi_k = lam_k phi_k integrates to
+        # (exp(mu t) - exp(lam_k t)) / (mu - lam_k) phi_k; stiff and slow modes
+        kern = kernel_cache("vicsek", 3)
+        ks = [0, 5, kern.n_vertices // 2, kern.n_vertices - 1]
+        phi = kern.B[:, ks]
+        lam = kern.eigenvalues[ks]
+        mu = 2.0
+        grid = np.linspace(0.0, 1.0, 17)
+        out = kern.duhamel(grid, lambda s: np.exp(mu * s)[:, None, None] * phi[None])
+        want = ((np.exp(mu * grid)[:, None] - np.exp(np.outer(grid, lam)))
+                / (mu - lam))[:, None, :] * phi[None]
+        assert np.abs(out - want).max() < 1e-11 * np.abs(phi).max()
+
+    def test_rows_and_weight_form_agree(self, kernel_cache):
+        kern = kernel_cache("vicsek", 2)
+        rng = np.random.default_rng(0)
+        coef = rng.normal(size=(3, kern.n_vertices))
+
+        def source(s):
+            return np.cos(np.outer(s, [1.0, 2.0, 3.0])) @ coef
+
+        grid = np.array([0.0, 0.05, 0.3, 0.31])
+        full = kern.duhamel(grid, source)
+        assert np.allclose(kern.duhamel(grid, source, ids=[4, 9]), full[:, [4, 9]],
+                           rtol=0, atol=1e-15)
+        nodes, weights = kern.duhamel_modes(grid)
+        ghat = kern.B.T @ (kern.weights[:, None] * source(nodes).T)
+        last = kern.B @ (weights * ghat).sum(axis=1)
+        assert np.abs(last - full[-1]).max() < 1e-13
+
+    def test_grid_must_increase(self, kernel_cache):
+        kern = kernel_cache("vicsek", 2)
+        with pytest.raises(KernelError):
+            kern.duhamel([0.0, 0.2, 0.2], lambda s: np.ones((len(s), kern.n_vertices)))
+
+    def test_needs_spectral_form(self, vs_cache, monkeypatch):
+        monkeypatch.setattr(K, "DENSE_EIG_LIMIT", 4)
+        kern = HeatKernel(build_generator(vs_cache("vicsek", 1)))
+        with pytest.raises(KernelError):
+            kern.duhamel([0.0, 0.1], lambda s: np.ones((len(s), kern.n_vertices)))
 
 
 class TestSubgaussian:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fractalheat.kernel as K
 from fractalheat.geometry import CellAddress, build_preset
 from fractalheat.measure import BaseSM, realize
 from fractalheat.paramint import h_matrix, sigma_preset
@@ -10,6 +11,7 @@ from fractalheat.solver import (
     AssumptionGateError,
     ProblemSpec,
     SolverError,
+    _nl_field,
     assumption_gate,
     deterministic_term,
     f_preset,
@@ -124,6 +126,20 @@ class TestNonlinearTerm:
         got = nonlinear_term(prob2, sol2.u, t, x)
         want = sol2.u[i, x] - sol2.deterministic[i, x] - sol2.stochastic[i, x]
         assert got == pytest.approx(want, abs=5e-8)
+
+    def test_scalar_api_just_past_grid_time(self, prob2, sol2):
+        # a last step of 1e-9 adds next to nothing to the grid value
+        i, x = 10, 7
+        got = nonlinear_term(prob2, sol2.u, float(sol2.times[i]) + 1e-9, x)
+        want = sol2.u[i, x] - sol2.deterministic[i, x] - sol2.stochastic[i, x]
+        assert got == pytest.approx(want, abs=5e-8)
+
+    def test_time_quadrature_p_refinement(self, prob2, sol2, monkeypatch):
+        # the Duhamel rule is exact in the eigenvalues; raising the number
+        # of Gauss nodes per step must leave the nonlinear field in place
+        base = _nl_field(prob2, sol2.u)
+        monkeypatch.setattr(K, "DUHAMEL_ORDER", 12)
+        assert np.abs(_nl_field(prob2, sol2.u) - base).max() <= 1e-9
 
 
 class TestStochasticTerm:
