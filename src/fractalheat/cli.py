@@ -5,7 +5,8 @@ resolved configuration is echoed into the output directory next to a MANIFEST
 listing sha256 checksums of every artifact (timestamps live only there, so
 repeated runs of the same configuration produce byte-identical artifacts).
 
-Exit codes: 0 success, 1 computation failure, 2 validation failure.
+Exit codes: 0 success, 1 computation failure, 2 validation failure (including
+a vertex set above the dense kernel budget, refused before any artifact).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import hashlib
 import os
 import sys
 from datetime import datetime, timezone
+
+from .kernel import KernelSizeError
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -116,7 +119,7 @@ def _parse_base(text: str, seed: int):
 _COMMON = {
     "model": ("vicsek", str), "level": (3, int), "blowup": (0, int),
     "depth": (5, int), "seed": (0, int), "boundary": ("reflecting", str),
-    "out": (None, str), "threads": (None, int), "base": ("gaussian", str),
+    "out": (None, str), "base": ("gaussian", str),
 }
 
 
@@ -133,27 +136,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     pm = sub.add_parser("model", help="build a model and export its vertex set")
-    _add_common(pm, ["model", "level", "blowup", "out", "threads"])
+    _add_common(pm, ["model", "level", "blowup", "out"])
 
     pk = sub.add_parser("kernel", help="heat kernel table on a time grid")
-    _add_common(pk, ["model", "level", "blowup", "boundary", "out", "threads"])
+    _add_common(pk, ["model", "level", "blowup", "boundary", "out"])
     pk.add_argument("--times", default=None)
     pk.add_argument("--format", choices=["csv", "binary"], default=None)
     pk.add_argument("--x-ids", default=None, help="comma list of row ids to export")
 
     psm = sub.add_parser("sm", help="stochastic measure operations")
     psm.add_argument("action", choices=["sample"])
-    _add_common(psm, ["model", "blowup", "depth", "seed", "base", "out", "threads"])
+    _add_common(psm, ["model", "blowup", "depth", "seed", "base", "out"])
 
     pe = sub.add_parser("eta", help="stochastic parameter integral on a z grid")
-    _add_common(pe, ["model", "level", "blowup", "depth", "seed", "base", "out", "threads"])
+    _add_common(pe, ["model", "level", "blowup", "depth", "seed", "base", "out"])
     pe.add_argument("--sigma", default=None)
     pe.add_argument("--times", default=None)
     pe.add_argument("--T", type=float, default=None)
 
     ps = sub.add_parser("solve", help="Picard solve of the mild equation")
     _add_common(ps, ["model", "level", "blowup", "depth", "seed", "base",
-                     "boundary", "out", "threads"])
+                     "boundary", "out"])
     ps.add_argument("--sigma", default=None)
     ps.add_argument("--f", default=None)
     ps.add_argument("--u0", default=None)
@@ -165,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", default=None,
                     help="quick, full, or comma list of check names (may be empty)")
     pv.add_argument("--out", default=None)
-    pv.add_argument("--threads", type=int, default=None)
     return ap
 
 
@@ -174,7 +176,7 @@ _DEFAULTS = {
     "boundary": "reflecting", "base": "gaussian", "sigma": "smooth",
     "f": "sin:0.5", "u0": "bump", "T": 1.0, "steps": 64, "times": None,
     "format": "csv", "x_ids": None, "suite": "quick", "out": None,
-    "threads": None, "override_gate": False, "action": None, "command": None,
+    "override_gate": False, "action": None, "command": None,
     "config": None,
 }
 
@@ -239,17 +241,6 @@ def _write_manifest(out: str, files) -> str:
             stamp = datetime.now(timezone.utc).isoformat()
             f.write(f"{h}  {os.path.getsize(full)}  {stamp}  {name}\n")
     return path
-
-
-def _limit_threads(n):
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(int(n))
-    except ImportError:
-        print("warning: threadpoolctl not installed; set OMP_NUM_THREADS "
-              "before launching to cap BLAS threads", file=sys.stderr)
 
 
 def cmd_model(cfg: dict) -> list[str]:
@@ -408,14 +399,13 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = resolve_config(args)
-        _limit_threads(cfg.get("threads"))
         handler = _HANDLERS[args.command]
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         files = handler(cfg)
-    except ValidationError as exc:
+    except (ValidationError, KernelSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FailedWithArtifacts as exc:

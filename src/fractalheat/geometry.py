@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -181,23 +180,17 @@ def build_preset(name: str) -> FractalModel:
             [1.0, 0.0],
             [0.5, 0.5],
         ])
-        model = FractalModel("vicsek", 3.0, pts,
-                             d_s=math.log(25) / math.log(15), assumption1_k=4)
+        alpha, d_s, assumption1_k = 3.0, math.log(25) / math.log(15), 4
     elif name == "gasket":
         pts = np.array([
             [0.0, 0.0],
             [1.0, 0.0],
             [0.5, math.sqrt(3) / 2],
         ])
-        model = FractalModel("gasket", 2.0, pts,
-                             d_s=math.log(9) / math.log(5), assumption1_k="unverified")
+        alpha, d_s, assumption1_k = 2.0, math.log(9) / math.log(5), "unverified"
     else:
         raise GeometryError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
-    ess = essential_fixed_points(model, indices=True)
-    model = FractalModel(model.name, model.alpha, model.fixed_points, model.d_s,
-                         model.orthogonal, model.assumption1_k, tuple(ess))
-    model.validate()
-    return model
+    return model_from_ifs(name, alpha, pts, d_s, assumption1_k=assumption1_k)
 
 
 def model_from_ifs(name: str, alpha: float, fixed_points, d_s: float,
@@ -279,12 +272,7 @@ def cell_anchors(model: FractalModel, depth: int, blowup: int = 0, rule: int = 0
     point (rule = index into the essential set). Deterministic by construction."""
     if not 0 <= rule < len(model.essential_indices):
         raise GeometryError(f"anchor rule {rule} outside the essential fixed point set")
-    pts = model.essential_fixed_points[rule][None, :]
-    cells = pts
-    for _ in range(depth):
-        layers = [model.map_points(i, cells) for i in range(1, model.N + 1)]
-        cells = np.concatenate(layers, axis=0)
-    return model.alpha ** blowup * cells
+    return cell_corners(model, depth, blowup)[:, rule]
 
 
 @dataclass
@@ -327,23 +315,17 @@ class VertexSet:
                 ids.append(j)
         return np.array(sorted(set(ids)), dtype=np.int64)
 
+    def _adjacency(self):
+        """Cell-sharing graph as a sparse (V, V) matrix, one entry per edge."""
+        from scipy.sparse import csr_matrix
+        a, b = self.edges.T
+        return csr_matrix((np.ones(len(a)), (a, b)), shape=(self.n_vertices,) * 2)
+
     def is_connected(self) -> bool:
         if self.n_vertices == 0:
             return False
-        seen = np.zeros(self.n_vertices, dtype=bool)
-        nbrs = [[] for _ in range(self.n_vertices)]
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for w in nbrs[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return bool(seen.all())
+        from scipy.sparse.csgraph import connected_components
+        return connected_components(self._adjacency(), directed=False)[0] == 1
 
     def to_csv(self, path, weights: "MeasureWeights | None" = None) -> None:
         w = weights.weights if weights is not None else measure_weights(self).weights
@@ -371,11 +353,9 @@ def vertex_set(model: FractalModel, n: int, M: int = 0,
     C, F0, d = corners.shape
     flat = corners.reshape(-1, d)
     keys = np.round(flat, DEDUP_DECIMALS)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    # representative coordinates: first occurrence of each key
-    first = np.full(len(uniq), -1, dtype=np.int64)
-    for idx in range(len(flat) - 1, -1, -1):
-        first[inverse[idx]] = idx
+    # representative coordinates: first occurrence of each key (return_index
+    # sorts stably)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     points = flat[first]
     cell_vertex_ids = inverse.reshape(C, F0).astype(np.int64)
     # edges: all within-cell pairs, deduplicated
@@ -418,27 +398,6 @@ def measure_weights(vs: VertexSet) -> MeasureWeights:
     return MeasureWeights(w, vs.level, vs.blowup, float(w.sum()))
 
 
-def _bfs_distances(n_vertices: int, edges: np.ndarray, start: Iterable[int]) -> np.ndarray:
-    """Hop distances from a start set in the cell-sharing graph (-1 unreachable)."""
-    nbrs = [[] for _ in range(n_vertices)]
-    for a, b in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    dist = np.full(n_vertices, -1, dtype=np.int64)
-    frontier = [v for v in start]
-    for v in frontier:
-        dist[v] = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in nbrs[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
 def check_assumption1(model: FractalModel, m: int, samples: int = 200,
                       seed: int = 0) -> int:
     """Max chain length l over pairs with |x - y| <= alpha^-m, where the chain
@@ -446,22 +405,24 @@ def check_assumption1(model: FractalModel, m: int, samples: int = 200,
 
     Vertex pairs of F^(m) are checked exhaustively; `samples` additional random
     interior points (depth-12 word images) probe non-vertex pairs.  Raises if
-    any admissible pair has no chain.
+    any admissible pair has no chain.  Hop counts come from one all-pairs
+    (V, V) matrix of F^(m).
     """
+    from scipy.sparse.csgraph import shortest_path
+    from scipy.spatial import cKDTree
+
     vs = vertex_set(model, m, 0)
     r = model.alpha ** (-m) * (1 + 1e-9)
-    pts = vs.points
+    # hop counts between all vertex pairs (inf when unreachable)
+    hops = shortest_path(vs._adjacency(), directed=False, unweighted=True)
     max_l = 1
     # exhaustive over vertex pairs
-    for v in range(vs.n_vertices):
-        dist = _bfs_distances(vs.n_vertices, vs.edges, [v])
-        close = np.nonzero(np.linalg.norm(pts - pts[v], axis=1) <= r)[0]
-        for w in close:
-            if w == v:
-                continue
-            if dist[w] < 0:
-                raise GeometryError("no chain between admissible vertices")
-            max_l = max(max_l, int(dist[w]) + 1)
+    close = cKDTree(vs.points).query_pairs(r, output_type="ndarray")
+    if len(close):
+        d = hops[close[:, 0], close[:, 1]]
+        if not np.all(np.isfinite(d)):
+            raise GeometryError("no chain between admissible vertices")
+        max_l = max(max_l, int(d.max()) + 1)
     # sampled interior pairs: x, y generic points of E with their depth-m cells
     if samples > 0:
         rng = np.random.default_rng(seed)
@@ -474,20 +435,17 @@ def check_assumption1(model: FractalModel, m: int, samples: int = 200,
         for i, wd in enumerate(words):
             sample_pts[i] = apply_word(model, CellAddress(tuple(wd)), anchor)
             sample_cell[i] = 0 if m == 0 else int(np.dot(wd[:m] - 1, powers))
-        from scipy.spatial import cKDTree
         tree = cKDTree(sample_pts)
         for i, j in tree.query_pairs(r):
             ci, cj = sample_cell[i], sample_cell[j]
             if ci == cj:
                 max_l = max(max_l, 2)
                 continue
-            dist = _bfs_distances(vs.n_vertices, vs.edges, vs.cell_vertex_ids[ci])
-            best = dist[vs.cell_vertex_ids[cj]]
-            best = best[best >= 0]
-            if len(best) == 0:
+            best = hops[np.ix_(vs.cell_vertex_ids[ci], vs.cell_vertex_ids[cj])].min()
+            if not np.isfinite(best):
                 raise GeometryError("no chain between sampled interior points")
             # path: x, (dv+1) vertices of F^(m), y
-            max_l = max(max_l, int(best.min()) + 3)
+            max_l = max(max_l, int(best) + 3)
     return max_l
 
 

@@ -6,9 +6,13 @@ power of the cell diameter, so walks at every resolution ride the same
 diffusion clock.  Densities p(t, x, y) = P(t)[x, y] / m(y) are symmetric and
 obey detailed balance with respect to the vertex measure weights.
 
-The kernel is held in spectral form: with S = M^{1/2} L M^{-1/2} = U diag(lam) U^T
-and B = M^{-1/2} U, the density matrix is p(t) = B exp(t lam) B^T (symmetric by
-construction) and P(t) = p(t) * m[col].
+The kernel is held in dense spectral form, its only backend: with
+S = M^{1/2} L M^{-1/2} = U diag(lam) U^T and B = M^{-1/2} U, the density matrix
+is p(t) = B exp(t lam) B^T (symmetric by construction) and P(t) = p(t) * m[col].
+Every evaluation below (densities, rows, diagonals, P(t) v and the Duhamel
+integrals) reads B and lam; no other module does.  The form costs dense V x V
+arrays and an O(V^3) eigh, so build_generator refuses vertex sets above
+DENSE_EIG_LIMIT with KernelSizeError before it allocates.
 
 Diagnostics estimate the on-diagonal decay exponent (spectral dimension), the
 spatial Hoelder exponent of the kernel, and a sub-Gaussian upper envelope
@@ -43,7 +47,10 @@ __all__ = [
     "duhamel_weights",
 ]
 
-# above this vertex count eigendecomposition is replaced by expm per time
+# dense budget: build_generator refuses larger vertex sets.  The generator, B
+# and every density matrix are V x V float64 (128 MB each at this size) and eigh
+# costs O(V^3).  Vicsek fits up to level 4 (V = 1,876; level 5 has 9,376), the
+# gasket up to level 7 (V = 3,282)
 DENSE_EIG_LIMIT = 4000
 # dense P(t) matrices are stored on the grid only below this size
 DENSE_TABLE_LIMIT = 600
@@ -58,6 +65,10 @@ DUHAMEL_CACHE = 256
 
 class KernelError(RuntimeError):
     pass
+
+
+class KernelSizeError(KernelError):
+    """The vertex set is larger than the dense kernel budget DENSE_EIG_LIMIT."""
 
 
 @dataclass
@@ -101,9 +112,13 @@ def build_generator(vs: VertexSet, model: FractalModel | None = None,
     model = vs.model if model is None else model
     if boundary not in ("reflecting", "dirichlet"):
         raise KernelError(f"unknown boundary {boundary!r}")
+    V = vs.n_vertices
+    if V > DENSE_EIG_LIMIT:
+        raise KernelSizeError(
+            f"{model.name} level {vs.level} has V = {V} vertices; the dense "
+            f"spectral kernel is limited to {DENSE_EIG_LIMIT}")
     if not vs.is_connected():
         raise KernelError("vertex graph is disconnected")
-    V = vs.n_vertices
     # cells of the blow-up domain have diameter alpha^(M-n); the jump rate that
     # keeps the walk on the fixed-time diffusion clock is the -d_w power of that
     rate = model.time_scale ** (vs.level - vs.blowup)
@@ -159,30 +174,24 @@ def duhamel_weights(z, order: int) -> np.ndarray:
 
 
 class HeatKernel:
-    """Spectral form of exp(tL): evaluates transition matrices, densities,
-    rows and diagonals at arbitrary t >= 0, and the Duhamel integral
+    """Dense spectral form of exp(tL): evaluates transition matrices, densities,
+    rows and diagonals at arbitrary t >= 0, and the Duhamel integrals
     int P(t - s) g(s) ds on a time grid."""
 
     def __init__(self, gen: GeneratorMatrix):
         self.gen = gen
         self.weights = gen.weights
         self._sqrt_m = np.sqrt(self.weights)
-        n = len(gen.matrix)
-        self._use_expm = n > DENSE_EIG_LIMIT
-        if not self._use_expm:
-            S = (self._sqrt_m[:, None] * gen.matrix) / self._sqrt_m[None, :]
-            S = 0.5 * (S + S.T)
-            try:
-                # divide and conquer: the default MRRR routine stalls on the
-                # highly degenerate Vicsek spectrum
-                lam, U = scipy.linalg.eigh(S, driver="evd")
-            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-                raise KernelError(f"eigendecomposition failed: {exc}") from exc
-            self.eigenvalues = lam
-            self.B = U / self._sqrt_m[:, None]
-        else:
-            self.eigenvalues = None
-            self.B = None
+        S = (self._sqrt_m[:, None] * gen.matrix) / self._sqrt_m[None, :]
+        S = 0.5 * (S + S.T)
+        try:
+            # divide and conquer: the default MRRR routine stalls on the
+            # highly degenerate Vicsek spectrum
+            lam, U = scipy.linalg.eigh(S, driver="evd")
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+            raise KernelError(f"eigendecomposition failed: {exc}") from exc
+        self.eigenvalues = lam
+        self.B = U / self._sqrt_m[:, None]
         self.max_clip = 0.0   # largest negative entry clipped to zero so far
         self._duhamel_cache: dict = {}
 
@@ -198,35 +207,24 @@ class HeatKernel:
     def model(self) -> FractalModel:
         return self.gen.model
 
-    def _exp_lam(self, t: float) -> np.ndarray:
+    def _exp_lam(self, t) -> np.ndarray:
+        """exp(lam t) for one time, (V,), or a vector of times, (K, V)."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
+            raise KernelError("negative time")
         with np.errstate(under="ignore"):
-            return np.exp(self.eigenvalues * t)
+            return np.exp(np.multiply.outer(t, self.eigenvalues))
 
     def density(self, t: float, clip: bool = True) -> np.ndarray:
         """Symmetric density matrix p(t) with p[x,y] = P(t)[x,y] / m(y)."""
-        if t < 0:
-            raise KernelError("negative time")
-        if self._use_expm:
-            P = scipy.linalg.expm(self.gen.matrix * t)
-            p = P / self.weights[None, :]
-            p = 0.5 * (p + p.T)
-        else:
-            p = (self.B * self._exp_lam(t)[None, :]) @ self.B.T
-        if clip:
-            neg = p.min()
-            if neg < 0:
-                self.max_clip = max(self.max_clip, float(-neg))
-                p = np.maximum(p, 0.0)
-        return p
+        return self.density_rows(t, slice(None), clip=clip)
 
     def transition(self, t: float, clip: bool = True) -> np.ndarray:
         """Stochastic matrix P(t) = p(t) * m[col]."""
         return self.density(t, clip=clip) * self.weights[None, :]
 
-    def density_rows(self, t: float, ids: np.ndarray, clip: bool = True) -> np.ndarray:
+    def density_rows(self, t: float, ids, clip: bool = True) -> np.ndarray:
         """Rows p(t)[ids, :] without forming the full matrix."""
-        if self._use_expm:
-            return self.density(t, clip=clip)[ids]
         rows = (self.B[ids] * self._exp_lam(t)[None, :]) @ self.B.T
         if clip:
             neg = rows.min()
@@ -237,36 +235,20 @@ class HeatKernel:
 
     def diag_density(self, times: np.ndarray) -> np.ndarray:
         """On-diagonal densities p(t, x, x) for a vector of times: (K, V)."""
-        times = np.asarray(times, dtype=float)
-        if self._use_expm:
-            return np.stack([np.diag(self.density(t)) for t in times])
-        B2 = self.B * self.B
-        with np.errstate(under="ignore"):
-            E = np.exp(np.outer(times, self.eigenvalues))
-        return E @ B2.T
+        return self._exp_lam(times) @ (self.B * self.B).T
 
     def pair_density(self, times: np.ndarray, i: int, j: int) -> np.ndarray:
         """p(t, x_i, x_j) over a vector of times."""
-        times = np.asarray(times, dtype=float)
-        if self._use_expm:
-            return np.array([self.density(t)[i, j] for t in times])
-        c = self.B[i] * self.B[j]
-        with np.errstate(under="ignore"):
-            return np.exp(np.outer(times, self.eigenvalues)) @ c
+        return self._exp_lam(times) @ (self.B[i] * self.B[j])
 
     def apply(self, t: float, v: np.ndarray) -> np.ndarray:
         """P(t) @ v."""
-        if self._use_expm:
-            return self.transition(t) @ v
         g = self.B.T @ (self.weights * v)
         return self.B @ (self._exp_lam(t) * g)
 
     def _duhamel_steps(self, times):
         """Per step of a sorted grid: its end time, its Gauss nodes, exp(lam h)
         and the (V, P) weights h W(lam h), the last two cached per step length."""
-        if self.B is None:
-            raise KernelError("the Duhamel rule needs the spectral kernel form "
-                              f"(at most {DENSE_EIG_LIMIT} vertices)")
         times = np.asarray(times, dtype=float)
         if len(times) < 2 or np.any(np.diff(times) <= 0):
             raise KernelError("Duhamel time grid must be strictly increasing, "
@@ -305,17 +287,23 @@ class HeatKernel:
         out = rows @ np.stack([np.zeros_like(acc)] + accs)
         return out[..., 0] if g.ndim == 2 else out
 
-    def duhamel_modes(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """The rule of duhamel() to the last grid time in weight form: nodes s
-        (Q,) and mode weights (V, Q) with
-        int_{t_0}^{t_K} exp(lam (t_K - s)) ghat(s) ds = sum_q weights[:, q] ghat(s_q)."""
+    def duhamel_pairs(self, times, source, ids=None) -> np.ndarray:
+        """Pair form of the rule of duhamel() to the last grid time t_K:
+        H[x, y] = int_{t_0}^{t_K} p(t_K - s, x, y) g(s, y) ds for x in ids
+        (an index or an index array; default all rows) and every y.
+
+        source(s) returns g at the Gauss nodes s of one step as a (P, V)
+        array.  In modes, G[k, y] = int exp(lam_k (t_K - s)) g(s, y) ds and
+        H[x, y] = sum_k B[x, k] B[y, k] G[k, y].
+        """
         t_end = float(np.asarray(times)[-1])
-        nodes, weights = [], []
-        for b, s, _, W in self._duhamel_steps(times):
-            with np.errstate(under="ignore"):
-                weights.append(np.exp(self.eigenvalues * (t_end - b))[:, None] * W)
-            nodes.append(s)
-        return np.concatenate(nodes), np.hstack(weights)
+        weights, values = [], []
+        for b, nodes, _, W in self._duhamel_steps(times):
+            weights.append(self._exp_lam(t_end - b)[:, None] * W)
+            values.append(np.asarray(source(nodes), dtype=float))
+        G = np.hstack(weights) @ np.concatenate(values)            # (V, V)
+        rows = self.B if ids is None else self.B[np.asarray(ids)]
+        return rows @ (self.B.T * G)
 
 
 def scaling_window(model: FractalModel, level: int, blowup: int = 0,
@@ -457,7 +445,7 @@ def estimate_spectral_dimension(table: HeatKernelTable, window=None,
             raise KernelError("window required when the table has no model")
         gen = table.kernel.gen
         lo, hi = scaling_window(table.model, table.level, gen.vs.blowup)
-        if table.kernel.eigenvalues is not None and table.kernel.n_vertices > 1:
+        if table.kernel.n_vertices > 1:
             gap = -np.sort(table.kernel.eigenvalues)[-2]
             if gap > 0:
                 hi = min(hi, 0.5 / gap)

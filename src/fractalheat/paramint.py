@@ -210,25 +210,23 @@ def _duhamel_grid(hf: HFunction, times) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([[0.0]] + pieces), np.cumsum(n)[inverse]
 
 
-def _h_modes(hf: HFunction, t: float) -> np.ndarray:
-    """(B^T * G0)[k, y] with G0[k, y] = int_0^t exp(lam_k (t - s)) sigma(s, y) ds
-    by the Duhamel rule; h = B @ this."""
-    grid, _ = _duhamel_grid(hf, [t])
-    nodes, weights = hf.kernel.duhamel_modes(grid)                  # (Q,), (V, Q)
-    pts = hf.points
-    S = np.stack([hf.sigma(s, pts) for s in nodes])                # (Q, V)
-    return hf.kernel.B.T * (weights @ S)
-
-
 def h_matrix(hf: HFunction, t: float) -> np.ndarray:
     """All-pairs matrix H[x, y] = h((t, x), y); one V^3 product per time."""
-    return hf.kernel.B @ _h_modes(hf, t)
+    return _h_pairs(hf, t, None)
 
 
 def h_row(hf: HFunction, t: float, x_id: int) -> np.ndarray:
     """Row h((t, x_id), y) over all kernel vertices y at V^2 cost per
     quadrature node."""
-    return hf.kernel.B[x_id] @ _h_modes(hf, t)
+    return _h_pairs(hf, t, x_id)
+
+
+def _h_pairs(hf: HFunction, t: float, ids) -> np.ndarray:
+    """Rows ids of h((t, .), .) by the pair form of the kernel's Duhamel rule."""
+    grid, _ = _duhamel_grid(hf, [t])
+    pts = hf.points
+    return hf.kernel.duhamel_pairs(
+        grid, lambda nodes: np.stack([hf.sigma(s, pts) for s in nodes]), ids)
 
 
 @dataclass

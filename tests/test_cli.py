@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -69,6 +70,28 @@ class TestExitCodes:
         cfg.write_text("[run]\nwibble = 3\n")
         rc = main(["--config", str(cfg), "model", "--out", str(tmp_path)])
         assert rc == EXIT_VALIDATION
+
+    def test_threads_knob_removed(self, tmp_path):
+        cfg = tmp_path / "t.ini"
+        cfg.write_text("[run]\nthreads = 2\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "model", "--out", str(out)]) == EXIT_VALIDATION
+        assert main(["verify", "--suite", "", "--threads", "2",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["kernel", "eta", "solve"])
+    def test_oversize_graph_refused_exit2(self, tmp_path, command):
+        # Vicsek level 5 has 9,376 vertices, above the dense kernel budget;
+        # the refusal comes before any V x V allocation and any artifact
+        out = tmp_path / "big"
+        start = time.monotonic()
+        proc = run_cli(command, "--model", "vicsek", "--level", "5",
+                       "--out", str(out), timeout=120)
+        assert proc.returncode == EXIT_VALIDATION
+        assert "V = 9376" in proc.stderr and "4000" in proc.stderr
+        assert not out.exists()
+        assert time.monotonic() - start < 30
 
     def test_gasket_solve_refused_exit2(self, tmp_path):
         proc = run_cli("solve", "--model", "gasket", "--level", "2",

@@ -141,6 +141,26 @@ class TestVertexSet:
     def test_connected(self, vs_cache, n):
         assert vs_cache("vicsek", n).is_connected()
 
+    def test_edgeless_graph_disconnected(self, vs_cache):
+        import dataclasses
+        vs = vs_cache("vicsek", 1)
+        assert not dataclasses.replace(vs, edges=vs.edges[:0]).is_connected()
+        # drop the edges of the last vertex only
+        kept = vs.edges[vs.edges.max(axis=1) < vs.n_vertices - 1]
+        assert not dataclasses.replace(vs, edges=kept).is_connected()
+
+    @pytest.mark.parametrize("name,n,M", [("vicsek", 3, 0), ("gasket", 4, 1)])
+    def test_representatives_are_first_occurrences(self, name, n, M):
+        # loop reference: the representative of a vertex is the first corner
+        # image, in word order, that rounds to its key
+        model = build_preset(name)
+        vs = vertex_set(model, n, M)
+        flat = cell_corners(model, n, M).reshape(-1, model.d)
+        first = {}
+        for idx, vid in enumerate(vs.cell_vertex_ids.ravel()):
+            first.setdefault(int(vid), idx)
+        assert np.array_equal(vs.points, flat[[first[v] for v in range(vs.n_vertices)]])
+
     def test_level0_complete_membership(self, vs_cache):
         vs = vs_cache("vicsek", 0)
         assert vs.cell_vertex_ids.shape == (1, 4)
@@ -216,6 +236,9 @@ class TestAssumption1:
 
     def test_vicsek_m2(self, vicsek):
         assert check_assumption1(vicsek, 2, samples=100) <= 4
+
+    def test_vicsek_m3(self, vicsek):
+        assert check_assumption1(vicsek, 3, samples=100) == 4
 
     def test_gasket_reported(self, gasket):
         # all three depth-1 cells pairwise touch, so chains need <= 3 points

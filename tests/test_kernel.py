@@ -11,6 +11,7 @@ from fractalheat.kernel import (
     HeatKernel,
     HeatKernelTable,
     KernelError,
+    KernelSizeError,
     build_generator,
     duhamel_rule,
     duhamel_weights,
@@ -54,6 +55,16 @@ class TestGenerator:
     def test_blowup_rate_matches_cell_size(self, vicsek):
         gen = build_generator(vertex_set(vicsek, 3, M=1))
         assert gen.rate == pytest.approx(vicsek.time_scale ** 2)
+
+    def test_size_budget_refused(self, vs_cache, monkeypatch):
+        vs = vs_cache("vicsek", 1)
+        monkeypatch.setattr(K, "DENSE_EIG_LIMIT", vs.n_vertices)
+        assert build_generator(vs).matrix.shape == (16, 16)
+        monkeypatch.setattr(K, "DENSE_EIG_LIMIT", 15)
+        for boundary in ("reflecting", "dirichlet"):
+            with pytest.raises(KernelSizeError, match="V = 16 .* limited to 15"):
+                build_generator(vs, boundary=boundary)
+        assert issubclass(KernelSizeError, KernelError)
 
     def test_dirichlet_dimension(self, vs_cache):
         vs = vs_cache("vicsek", 2)
@@ -103,9 +114,14 @@ class TestSemigroup:
         # reflecting walk equilibrates to density 1 / total mass (mass 1 here)
         assert np.allclose(p, 1.0, atol=1e-10)
 
-    def test_negative_time_rejected(self, kernel_cache):
-        with pytest.raises(KernelError):
-            kernel_cache("vicsek", 2).density(-0.1)
+    @pytest.mark.parametrize("call", [
+        lambda k, t: k.density(t),
+        lambda k, t: k.density_rows(t, [0, 3]),
+        lambda k, t: k.apply(t, np.ones(k.n_vertices)),
+    ], ids=["density", "density_rows", "apply"])
+    def test_negative_time_rejected(self, kernel_cache, call):
+        with pytest.raises(KernelError, match="negative time"):
+            call(kernel_cache("vicsek", 2), -1.0)
 
     def test_dirichlet_mass_monotone_loss(self, vs_cache):
         kern = HeatKernel(build_generator(vs_cache("vicsek", 2), boundary="dirichlet"))
@@ -158,16 +174,6 @@ class TestKernelTable:
         assert np.allclose(times, [0.05, 0.1])
         P0 = raw[6:6 + 256].reshape(16, 16)
         assert np.allclose(P0, tab.transition(0.05))
-
-    def test_expm_fallback_matches_eigh(self, vs_cache, monkeypatch):
-        vs = vs_cache("vicsek", 1)
-        gen = build_generator(vs)
-        dense = HeatKernel(gen)
-        monkeypatch.setattr(K, "DENSE_EIG_LIMIT", 4)
-        fallback = HeatKernel(gen)
-        assert fallback.eigenvalues is None
-        for t in (0.02, 0.3):
-            assert np.allclose(fallback.density(t), dense.density(t), atol=1e-10)
 
 
 class TestSpectralDimension:
@@ -301,21 +307,20 @@ class TestDuhamel:
         full = kern.duhamel(grid, source)
         assert np.allclose(kern.duhamel(grid, source, ids=[4, 9]), full[:, [4, 9]],
                            rtol=0, atol=1e-15)
-        nodes, weights = kern.duhamel_modes(grid)
-        ghat = kern.B.T @ (kern.weights[:, None] * source(nodes).T)
-        last = kern.B @ (weights * ghat).sum(axis=1)
-        assert np.abs(last - full[-1]).max() < 1e-13
+        # summed against the vertex weights, the pair form is the last row
+        pairs = kern.duhamel_pairs(grid, source)
+        assert np.abs(pairs @ kern.weights - full[-1]).max() < 1e-13
+        scale = np.abs(pairs).max()
+        sub = kern.duhamel_pairs(grid, source, ids=[4, 9])
+        assert np.abs(sub - pairs[[4, 9]]).max() < 1e-15 * scale
+        row = kern.duhamel_pairs(grid, source, ids=9)
+        assert row.shape == (kern.n_vertices,)
+        assert np.abs(row - pairs[9]).max() < 1e-15 * scale
 
     def test_grid_must_increase(self, kernel_cache):
         kern = kernel_cache("vicsek", 2)
         with pytest.raises(KernelError):
             kern.duhamel([0.0, 0.2, 0.2], lambda s: np.ones((len(s), kern.n_vertices)))
-
-    def test_needs_spectral_form(self, vs_cache, monkeypatch):
-        monkeypatch.setattr(K, "DENSE_EIG_LIMIT", 4)
-        kern = HeatKernel(build_generator(vs_cache("vicsek", 1)))
-        with pytest.raises(KernelError):
-            kern.duhamel([0.0, 0.1], lambda s: np.ones((len(s), kern.n_vertices)))
 
 
 class TestSubgaussian:
