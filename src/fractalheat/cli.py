@@ -237,7 +237,8 @@ def _write_manifest(out: str, files) -> str:
         f.write("# sha256  bytes  written_utc  filename\n")
         for name in sorted(files):
             full = os.path.join(out, name)
-            h = hashlib.sha256(open(full, "rb").read()).hexdigest()
+            with open(full, "rb") as fh:
+                h = hashlib.file_digest(fh, "sha256").hexdigest()
             stamp = datetime.now(timezone.utc).isoformat()
             f.write(f"{h}  {os.path.getsize(full)}  {stamp}  {name}\n")
     return path
@@ -279,11 +280,7 @@ def cmd_kernel(cfg: dict) -> list[str]:
             x_ids = list(range(8))
         tab.to_csv(os.path.join(out, "kernel.csv"), x_ids=x_ids)
         files.append("kernel.csv")
-    with open(os.path.join(out, "kernel_diag.csv"), "w", encoding="utf-8") as f:
-        f.write("t,x_id,density\n")
-        for i, t in enumerate(tab.times):
-            for j in range(tab.diag.shape[1]):
-                f.write(f"{float(t)!r},{j},{float(tab.diag[i, j])!r}\n")
+    tab.diag_csv(os.path.join(out, "kernel_diag.csv"))
     files.append("kernel_diag.csv")
     return files
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _text
+
 __all__ = [
     "FractalModel",
     "CellAddress",
@@ -328,13 +330,12 @@ class VertexSet:
         return connected_components(self._adjacency(), directed=False)[0] == 1
 
     def to_csv(self, path, weights: "MeasureWeights | None" = None) -> None:
+        """Rows vertex_id,x0,..,weight in vertex order."""
         w = weights.weights if weights is not None else measure_weights(self).weights
-        with open(path, "w", encoding="utf-8") as f:
-            cols = ",".join(f"x{i}" for i in range(self.points.shape[1]))
-            f.write(f"vertex_id,{cols},weight\n")
-            for vid, (p, wv) in enumerate(zip(self.points, w)):
-                coord = ",".join(repr(float(c)) for c in p)
-                f.write(f"{vid},{coord},{float(wv)!r}\n")
+        cols = ",".join(f"x{i}" for i in range(self.points.shape[1]))
+        with _text.open_table(path, f"vertex_id,{cols},weight\n") as f:
+            _text.write_block(f, "", _text.ints(range(self.n_vertices)),
+                               np.column_stack([self.points, w]))
 
 
 def vertex_set(model: FractalModel, n: int, M: int = 0,

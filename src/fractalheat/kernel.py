@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import _text
 from .geometry import FractalModel, MeasureWeights, VertexSet, measure_weights
 
 __all__ = [
@@ -99,6 +100,12 @@ class GeneratorMatrix:
     @property
     def points(self) -> np.ndarray:
         return self.vs.points[self.kept]
+
+    def positions(self) -> np.ndarray:
+        """Kernel position of every vertex-set id; -1 for a removed vertex."""
+        pos = np.full(self.vs.n_vertices, -1, dtype=np.int64)
+        pos[self.kept] = np.arange(len(self.kept))
+        return pos
 
 
 def build_generator(vs: VertexSet, model: FractalModel | None = None,
@@ -374,20 +381,28 @@ class HeatKernelTable:
         return float(np.max(np.abs(Ps @ Pt - Pst)))
 
     def to_csv(self, path, x_ids=None) -> None:
-        """(t, x_id, y_id, density) rows; x restricted to x_ids for big graphs."""
+        """Rows t,x_id,y_id,density: time, then x, then y; x restricted to
+        x_ids for big graphs."""
         V = self.kernel.n_vertices
         if x_ids is None:
             if V > DENSE_TABLE_LIMIT:
                 raise KernelError(
                     f"{V} vertices: pass x_ids to export a row subset")
             x_ids = np.arange(V)
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("t,x_id,y_id,density\n")
-            for t in self.times:
-                rows = self.kernel.density_rows(t, np.asarray(x_ids))
-                for xi, row in zip(x_ids, rows):
-                    for yi in range(V):
-                        f.write(f"{float(t)!r},{xi},{yi},{float(row[yi])!r}\n")
+        x_ids = np.asarray(x_ids)
+        x_txt, y_txt = _text.ints(x_ids), _text.ints(range(V))
+        with _text.open_table(path, "t,x_id,y_id,density\n") as f:
+            for t, t_txt in zip(self.times, _text.floats(self.times)):
+                rows = self.kernel.density_rows(t, x_ids)
+                for x, row in zip(x_txt, rows):
+                    _text.write_block(f, t_txt + x, y_txt, row)
+
+    def diag_csv(self, path) -> None:
+        """Rows t,x_id,density of the on-diagonal densities: time, then x."""
+        x_txt = _text.ints(range(self.diag.shape[1]))
+        with _text.open_table(path, "t,x_id,density\n") as f:
+            for head, block in zip(_text.floats(self.times), self.diag):
+                _text.write_block(f, head, x_txt, block)
 
     def to_binary(self, path) -> None:
         """Fixed-layout dump: int64 magic, level, V, K; float64 times[K];
@@ -491,9 +506,7 @@ def _multiscale_pairs(vs: VertexSet, rng, pairs_per_scale: int = 60):
 def _kept_pairs(gen: GeneratorMatrix, pairs) -> np.ndarray:
     """Pairs of vertex-set ids mapped to kernel positions, keeping only the
     pairs whose two ends both survive the boundary condition: (n, 2)."""
-    pos = np.full(gen.vs.n_vertices, -1, dtype=np.int64)
-    pos[gen.kept] = np.arange(len(gen.kept))
-    mapped = pos[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)]
+    mapped = gen.positions()[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)]
     return mapped[(mapped >= 0).all(axis=1)]
 
 

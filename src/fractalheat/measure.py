@@ -22,11 +22,13 @@ Three base kinds ship:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _text
 from .geometry import CellAddress, FractalModel
 
 __all__ = [
@@ -303,28 +305,23 @@ def lemma22_diagnostic(g_family, real: MeasureRealization, L: int, n: int,
 # realization text format: header comments then "word mass" lines (root = "-")
 
 def write_realization(real: MeasureRealization, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("# fractalheat measure realization v1\n")
-        f.write(f"# model={real.model.name} N={real.model.N} alpha={real.model.alpha!r}\n")
-        b = real.base
-        atoms_s = ";".join(f"{float(x)!r}:{float(c)!r}" for x, c in b.atoms)
-        f.write(f"# base kind={b.kind} seed={b.seed} stable_index={b.stable_index!r} "
-                f"random_signs={b.random_signs} atoms={atoms_s}\n")
-        f.write(f"# blowup={real.blowup} n_max={real.n_max}\n")
-        f.write(f"# component_weights={','.join(repr(float(w)) for w in real.component_weights)}\n")
-        N = real.model.N
+    b = real.base
+    atoms_s = ";".join(f"{float(x)!r}:{float(c)!r}" for x, c in b.atoms)
+    header = (
+        "# fractalheat measure realization v1\n"
+        f"# model={real.model.name} N={real.model.N} alpha={real.model.alpha!r}\n"
+        f"# base kind={b.kind} seed={b.seed} stable_index={b.stable_index!r} "
+        f"random_signs={b.random_signs} atoms={atoms_s}\n"
+        f"# blowup={real.blowup} n_max={real.n_max}\n"
+        f"# component_weights={','.join(repr(float(w)) for w in real.component_weights)}\n")
+    symbols = [str(d) for d in range(1, real.model.N + 1)]
+    with _text.open_table(path, header) as f:
         for n in range(real.n_max + 1):
-            masses = real.level_masses(n)
-            for k, mval in enumerate(masses):
-                if n == 0:
-                    word = "-"
-                else:
-                    digits, kk = [], k
-                    for _ in range(n):
-                        digits.append(kk % N + 1)
-                        kk //= N
-                    word = ",".join(str(d) for d in reversed(digits))
-                f.write(f"{word} {float(mval)!r}\n")
+            # cell k of level n is the base-N word of k, most significant
+            # first; the root's word is "-"
+            words = ([",".join(w) + " " for w in itertools.product(symbols, repeat=n)]
+                     if n else ["- "])
+            _text.write_block(f, "", words, real.level_masses(n))
 
 
 def read_realization(path, model: FractalModel) -> MeasureRealization:

@@ -10,9 +10,10 @@ dropped head below t * 2^-panel_depth is bounded by its length times the
 density ceiling 1/min(m).
 
 eta is approximated by S^(n)(z) = sum_cells h(z, anchor) mass(cell); anchors
-deeper than the kernel level are snapped to the nearest kernel vertex.  All
-depths 0..n_max are recorded so the per-level sup increments diagnose the
-convergence rate.
+deeper than the kernel level are snapped to the nearest vertex, and a cell
+whose anchor snaps to a vertex removed by a Dirichlet boundary adds nothing.
+All depths 0..n_max are recorded so the per-level sup increments diagnose
+the convergence rate.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _text
 from .geometry import FractalModel, cell_anchors
 from .kernel import HeatKernel
 from .measure import MeasureRealization
@@ -161,16 +163,20 @@ class HFunction:
 
     def snap_ids(self, depth: int, anchor_rule: int = 0) -> np.ndarray:
         """Kernel-vertex ids nearest to each depth-n cell anchor (exact when
-        depth <= kernel level: the anchor is itself a vertex)."""
+        depth <= kernel level: the anchor is itself a vertex).
+
+        Anchors snap against the full vertex set; one whose nearest vertex
+        was removed by a Dirichlet boundary gets id -1, since the killed
+        kernel is zero there."""
         key = (depth, anchor_rule)
         if key not in self._anchor_cache:
             from scipy.spatial import cKDTree
-            if self._snap_tree is None:
-                self._snap_tree = cKDTree(self.points)
             gen = self.kernel.gen
+            if self._snap_tree is None:
+                self._snap_tree = cKDTree(gen.vs.points)
             anchors = cell_anchors(self.model, depth, gen.vs.blowup, anchor_rule)
-            _, ids = self._snap_tree.query(anchors)
-            self._anchor_cache[key] = ids.astype(np.int64)
+            _, full_ids = self._snap_tree.query(anchors)
+            self._anchor_cache[key] = gen.positions()[full_ids]
         return self._anchor_cache[key]
 
 
@@ -263,19 +269,18 @@ class EtaEvaluation:
         return float(np.median(r[-last:])) if len(r) else math.nan
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("t,x_id,level,partial_sum\n")
-            for n in range(self.partial.shape[0]):
-                for i, t in enumerate(self.times):
-                    for j, x in enumerate(self.x_ids):
-                        f.write(f"{float(t)!r},{x},{n},{float(self.partial[n, i, j])!r}\n")
+        """Rows t,x_id,level,partial_sum: level, then time, then vertex."""
+        heads, x_txt = _text.floats(self.times), _text.ints(self.x_ids)
+        with _text.open_table(path, "t,x_id,level,partial_sum\n") as f:
+            for n, level in enumerate(self.partial):
+                keys = [f"{x}{n}," for x in x_txt]
+                for head, block in zip(heads, level):
+                    _text.write_block(f, head, keys, block)
 
     def diagnostics_csv(self, path) -> None:
         inc = self.sup_increments
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("level,sup_increment\n")
-            for n, v in enumerate(inc):
-                f.write(f"{n},{float(v)!r}\n")
+        with _text.open_table(path, "level,sup_increment\n") as f:
+            _text.write_block(f, "", _text.ints(range(len(inc))), inc)
 
 
 def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
@@ -300,7 +305,8 @@ def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
     agg = np.zeros((n_max + 1, V))
     for n in range(n_max + 1):
         ids = hf.snap_ids(n, anchor_rule)
-        np.add.at(agg[n], ids, real.level_masses(n))
+        kept = ids >= 0               # anchors on killed vertices add nothing
+        np.add.at(agg[n], ids[kept], real.level_masses(n)[kept])
     # the operator integrates against the vertex weights, eta against mu
     per_weight = (agg / kern.weights).T                            # (V, levels)
     pts = hf.points

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _text
 from .geometry import FractalModel, vertex_set
 from .kernel import HeatKernel, build_generator
 from .measure import BaseSM, realize
@@ -361,19 +362,19 @@ class SolutionField:
         return 2.0 * cf * kf ** (n - 1) * self.times ** n / math.factorial(n)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("t,x_id,u\n")
-            for i, t in enumerate(self.times):
-                for j in range(self.u.shape[1]):
-                    f.write(f"{float(t)!r},{j},{float(self.u[i, j])!r}\n")
+        """Rows t,x_id,u: time, then vertex."""
+        x_txt = _text.ints(range(self.u.shape[1]))
+        with _text.open_table(path, "t,x_id,u\n") as f:
+            for head, block in zip(_text.floats(self.times), self.u):
+                _text.write_block(f, head, x_txt, block)
 
     def diagnostics_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("n,t,g_n,bound_factorial\n")
+        """Rows n,t,g_n,bound_factorial: sweep, then time."""
+        t_txt = _text.floats(self.times)
+        with _text.open_table(path, "n,t,g_n,bound_factorial\n") as f:
             for n, g in enumerate(self.g_history):
-                bnd = self.bound_factorial(n)
-                for t, gv, bv in zip(self.times, g, bnd):
-                    f.write(f"{n},{float(t)!r},{float(gv)!r},{float(bv)!r}\n")
+                _text.write_block(f, f"{n},", t_txt,
+                                   np.column_stack([g, self.bound_factorial(n)]))
 
 
 def picard_solve(prob: PreparedProblem, start_offset: float | None = None,

@@ -375,10 +375,12 @@ def check_reproducibility() -> CheckResult:
                 return CheckResult("reproducibility", False,
                                    f"solve exit {proc.returncode}", "exit 0", "",
                                    time.time() - t0, proc.stderr[-400:])
-            blob = b"".join(open(f"{out}/{f}", "rb").read()
-                            for f in ("solution.csv", "diagnostics.csv",
-                                      "realization.txt"))
-            digests.append(hashlib.sha256(blob).hexdigest())
+            # one digest over the three files in sequence
+            h = hashlib.sha256()
+            for name in ("solution.csv", "diagnostics.csv", "realization.txt"):
+                with open(f"{out}/{name}", "rb") as fh:
+                    hashlib.file_digest(fh, lambda: h)
+            digests.append(h.hexdigest())
     ok = digests[0] == digests[1]
     return CheckResult("reproducibility", bool(ok),
                        f"digests {'match' if ok else 'differ'}",

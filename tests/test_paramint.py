@@ -196,6 +196,34 @@ class TestAnchorRules:
         anchors = cell_anchors(vicsek, 2, 0, 0)
         assert np.allclose(hf3.points[ids], anchors, atol=1e-12)
 
+    @pytest.mark.parametrize("rule", [0, 1])
+    def test_reflecting_snap_is_nearest_kernel_vertex(self, hf3, vicsek, rule):
+        from scipy.spatial import cKDTree
+        tree = cKDTree(hf3.points)
+        for depth in range(6):
+            _, ref = tree.query(cell_anchors(vicsek, depth, 0, rule))
+            assert np.array_equal(hf3.snap_ids(depth, rule), ref)
+
+    def test_dirichlet_killed_anchors_dropped(self, kernel_cache, vicsek):
+        # the rule-0 anchor of the root cell is the killed corner (0, 0), so
+        # S^(0) carries no mass at all
+        kern = kernel_cache("vicsek", 2, 0, "dirichlet")
+        hf = HFunction(kern, sigma_preset("smooth", vicsek), T=1.0)
+        real = realize(BaseSM("gaussian_white", seed=3), vicsek, n_max=0)
+        ev = eval_eta(hf, real, [0.1, 0.5], n_max=0)
+        assert np.array_equal(ev.partial, np.zeros_like(ev.partial))
+        # at depth <= level every anchor is a vertex: kept ones snap onto
+        # themselves, the others sit on the removed boundary
+        vs = kern.gen.vs
+        dead_pts = vs.points[vs.boundary_ids()]
+        for depth in range(3):
+            ids = hf.snap_ids(depth)
+            anchors = cell_anchors(vicsek, depth, 0, 0)
+            live = ids >= 0
+            assert np.allclose(hf.points[ids[live]], anchors[live], atol=1e-12)
+            gap = np.linalg.norm(anchors[~live][:, None] - dead_pts[None], axis=-1)
+            assert (~live).sum() > 0 and (gap.min(axis=1) < 1e-12).all()
+
     def test_anchor_independence_decays(self, hf3, vicsek):
         real = realize(BaseSM("gaussian_white", seed=1), vicsek, n_max=6)
         ts = [0.05, 0.3]
