@@ -149,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(psm, ["model", "blowup", "depth", "seed", "base", "out"])
 
     pe = sub.add_parser("eta", help="stochastic parameter integral on a z grid")
-    _add_common(pe, ["model", "level", "blowup", "depth", "seed", "base", "out"])
+    _add_common(pe, ["model", "level", "blowup", "depth", "seed", "base",
+                     "boundary", "out"])
     pe.add_argument("--sigma", default=None)
     pe.add_argument("--times", default=None)
     pe.add_argument("--T", type=float, default=None)
@@ -212,6 +213,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise ValidationError("T must be positive")
     if cfg["boundary"] not in ("reflecting", "dirichlet"):
         raise ValidationError(f"unknown boundary {cfg['boundary']!r}")
+    if cfg["format"] not in ("csv", "binary"):
+        raise ValidationError(f"unknown format {cfg['format']!r}")
+    if cfg["x_ids"]:
+        try:
+            cfg["x_ids"] = [int(tok) for tok in cfg["x_ids"].split(",")]
+        except ValueError:
+            raise ValidationError(
+                f"x_ids={cfg['x_ids']!r} is not a comma list of integers") from None
+    else:
+        cfg["x_ids"] = None
     return cfg
 
 
@@ -269,9 +280,7 @@ def cmd_kernel(cfg: dict) -> list[str]:
     tab = kernel(gen, times=times)
     out = _outdir(cfg)
     files = []
-    x_ids = None
-    if cfg.get("x_ids"):
-        x_ids = [int(tok) for tok in str(cfg["x_ids"]).split(",")]
+    x_ids = cfg["x_ids"]
     if cfg["format"] == "binary":
         tab.to_binary(os.path.join(out, "kernel.bin"))
         files.append("kernel.bin")

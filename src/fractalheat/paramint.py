@@ -135,12 +135,10 @@ class HFunction:
     """
 
     def __init__(self, kernel: HeatKernel, sigma: SigmaFunction, T: float = 1.0,
-                 strict: bool = True, panel_depth: int = 50, gl_order: int = 8):
+                 strict: bool = True):
         self.kernel = kernel
         self.sigma = sigma
         self.T = float(T)
-        self.panel_depth = panel_depth
-        self.gl_order = gl_order
         model = kernel.model
         if strict and not sigma.holder_exp > model.d_f / 2:
             raise ParamIntegralError(
@@ -182,20 +180,21 @@ class HFunction:
 
 def eval_h(hf: HFunction, t: float, x_id: int, y_id: int,
            check_tol: float | None = None) -> float:
-    """Single-pair evaluation; with check_tol set, the panels are halved once
-    and the refinement difference must stay below the tolerance."""
+    """Single-pair evaluation by the graded rule of quad_nodes; with check_tol
+    set, the rule is rerun at twice the Gauss order per panel and the
+    refinement difference must stay below the tolerance."""
     hf._check_time(t)
     kern = hf.kernel
 
-    def run(depth, order):
-        taus, wts = quad_nodes(t, depth, order)
+    def run(rule):
+        taus, wts = rule
         pv = kern.pair_density(taus, x_id, y_id)
         sv = np.array([hf.sigma(t - tau, hf.points[y_id:y_id + 1])[0] for tau in taus])
         return float(np.dot(wts, pv * sv))
 
-    val = run(hf.panel_depth, hf.gl_order)
+    val = run(quad_nodes(t))
     if check_tol is not None:
-        ref = run(hf.panel_depth, 2 * hf.gl_order)
+        ref = run(quad_nodes(t, gl_order=16))   # twice the default order
         if abs(val - ref) > check_tol:
             raise ParamIntegralError(
                 f"quadrature refinement moved by {abs(val - ref):.2e} > {check_tol:.2e}")

@@ -10,9 +10,12 @@ where eta is the frozen stochastic parameter integral (it does not depend on u,
 so it is computed once per run).  The time integral of the nonlinear term runs
 through the kernel's Duhamel rule: u is linear in time between grid rows, f is
 sampled at the Gauss nodes of each grid step, and exp(lam (t - s)) is
-integrated exactly in every eigenvalue.  Iteration starts from u = 0; successive
-differences g_n(t) = sup_x |u^(n+1) - u^(n)|(t) contract factorially in K_f t
-and the run stops on their sup or after max_iter sweeps.
+integrated exactly in every eigenvalue.  The three terms are computed as fields
+on the whole grid, never point by point.  picard_solve starts from u = 0;
+successive differences g_n(t) = sup_x |u^(n+1) - u^(n)|(t) contract factorially
+in K_f t and the run stops on their sup or after max_iter sweeps.
+uniqueness_check runs the same sweeps from a second start, det + offset, with
+the frozen fields computed once for both.
 
 A gate checks the standing assumptions before solving: bounded initial data,
 bounded Lipschitz nonlinearity, bounded Hoelder forcing with exponent above
@@ -48,9 +51,6 @@ __all__ = [
     "prepare",
     "predicted_iterations",
     "assumption_gate",
-    "deterministic_term",
-    "nonlinear_term",
-    "stochastic_term",
     "picard_solve",
     "uniqueness_check",
     "mild_residual",
@@ -189,7 +189,6 @@ class PreparedProblem:
         self.gen = build_generator(self.vs, boundary=spec.boundary)
         self.kernel = HeatKernel(self.gen)
         self.points = self.gen.points
-        self.m = self.gen.weights
         self.gate = assumption_gate(self)
         # the gate already reports the smoothness condition; constructing the
         # h-function non-strictly keeps prepare() report-only on bad input
@@ -204,14 +203,10 @@ def prepare(spec: ProblemSpec) -> PreparedProblem:
     return PreparedProblem(spec)
 
 
-def assumption_gate(prob: PreparedProblem | ProblemSpec) -> GateReport:
-    """Numeric spot checks of the standing assumptions; report only."""
-    if isinstance(prob, ProblemSpec):
-        spec = prob
-        pts = vertex_set(spec.model, min(spec.level, 3), spec.blowup).points
-    else:
-        spec = prob.spec
-        pts = prob.points
+def assumption_gate(prob: PreparedProblem) -> GateReport:
+    """Numeric spot checks of the standing assumptions on the problem's
+    vertices; report only."""
+    spec, pts = prob.spec, prob.points
     model = spec.model
     rng = np.random.default_rng(12345)
     entries = []
@@ -303,28 +298,6 @@ def _nl_field(prob: PreparedProblem, u: np.ndarray, times=None, ids=None) -> np.
     return prob.kernel.duhamel(prob.times if times is None else times, source, ids)
 
 
-def deterministic_term(prob: PreparedProblem, t: float, x_id: int) -> float:
-    return float(prob.kernel.apply(float(t), prob.u0_values)[x_id]) if t > 0 \
-        else float(prob.u0_values[x_id])
-
-
-def nonlinear_term(prob: PreparedProblem, u_field: np.ndarray, t: float,
-                   x_id: int) -> float:
-    if t == 0:
-        return 0.0
-    grid = np.append(prob.times[prob.times < t], t)
-    return float(_nl_field(prob, u_field, grid, [x_id])[-1, 0])
-
-
-def stochastic_term(prob: PreparedProblem, t: float, x_id: int) -> float:
-    if t == 0:
-        return 0.0
-    ev = eval_eta(prob.hfunction, prob.realization, [float(t)],
-                  n_max=prob.spec.depth, x_ids=np.array([x_id]),
-                  anchor_rule=prob.spec.anchor_rule)
-    return float(ev.eta[0, 0])
-
-
 def predicted_iterations(spec: ProblemSpec) -> int:
     """Iteration count predicted by the a-priori factorial bound; the actual
     stopping rule is the a-posteriori sup difference."""
@@ -377,54 +350,58 @@ class SolutionField:
                                    np.column_stack([g, self.bound_factorial(n)]))
 
 
-def picard_solve(prob: PreparedProblem, start_offset: float | None = None,
-                 det_field: np.ndarray | None = None,
-                 stoch_field: np.ndarray | None = None) -> SolutionField:
-    """Iterate the mild-form map from u = 0 (or det + offset when testing
-    uniqueness) until the sup difference drops below stop_tol."""
+def _require_gate(prob: PreparedProblem) -> None:
+    """Refuse a problem whose gate failed, unless the spec overrides it."""
+    if prob.gate.passed:
+        return
+    if not prob.spec.override_gate:
+        raise AssumptionGateError(
+            "assumption gate failed: " + ", ".join(prob.gate.failures())
+            + " (set override_gate=True to run anyway)")
+    logger.warning("OVERRIDE: solving despite failed assumptions: %s",
+                   ", ".join(prob.gate.failures()))
+
+
+def _sweep(prob: PreparedProblem, frozen: np.ndarray, u: np.ndarray):
+    """Picard sweeps u <- frozen + nonlinear term of u, from the start u, until
+    the sup difference drops below stop_tol or max_iter sweeps ran; returns
+    the last iterate, the g_n history and the converged flag."""
     spec = prob.spec
-    if not prob.gate.passed:
-        if not spec.override_gate:
-            raise AssumptionGateError(
-                "assumption gate failed: " + ", ".join(prob.gate.failures())
-                + " (set override_gate=True to run anyway)")
-        logger.warning("OVERRIDE: solving despite failed assumptions: %s",
-                       ", ".join(prob.gate.failures()))
-    det = _det_field(prob) if det_field is None else det_field
-    sto = _stoch_field(prob) if stoch_field is None else stoch_field
-    frozen = det + sto
-    u = np.zeros_like(det) if start_offset is None else det + start_offset
     g_history = []
-    converged = False
-    iterations = 0
-    for n in range(spec.max_iter):
-        nl = _nl_field(prob, u)
-        u_next = frozen + nl
+    for _ in range(spec.max_iter):
+        u_next = frozen + _nl_field(prob, u)
         g = np.max(np.abs(u_next - u), axis=1)
         g_history.append(g)
         u = u_next
-        iterations = n + 1
         if g.max() < spec.stop_tol:
-            converged = True
-            break
-    if not converged:
-        logger.warning("no convergence in %d iterations; sup g = %.3e "
-                       "(K_f T likely too large for the discretization)",
-                       iterations, float(g_history[-1].max()))
-    return SolutionField(prob.times, u, iterations, converged, g_history,
-                         det, sto, prob, predicted_iterations(spec))
+            return u, g_history, True
+    logger.warning("no convergence in %d iterations; sup g = %.3e "
+                   "(K_f T likely too large for the discretization)",
+                   len(g_history), float(g_history[-1].max()))
+    return u, g_history, False
+
+
+def picard_solve(prob: PreparedProblem) -> SolutionField:
+    """Iterate the mild-form map from u = 0 until the sup difference drops
+    below stop_tol."""
+    _require_gate(prob)
+    det, sto = _det_field(prob), _stoch_field(prob)
+    u, g_history, converged = _sweep(prob, det + sto, np.zeros_like(det))
+    return SolutionField(prob.times, u, len(g_history), converged, g_history,
+                         det, sto, prob, predicted_iterations(prob.spec))
 
 
 def uniqueness_check(prob: PreparedProblem, offset: float = 1.0) -> float:
     """Solve twice (zero start and det + offset start) with the same frozen
     randomness; returns the sup difference of the fixed points."""
-    det = _det_field(prob)
-    sto = _stoch_field(prob)
-    a = picard_solve(prob, det_field=det, stoch_field=sto)
-    b = picard_solve(prob, start_offset=offset, det_field=det, stoch_field=sto)
-    if not (a.converged and b.converged):
+    _require_gate(prob)
+    det, sto = _det_field(prob), _stoch_field(prob)
+    frozen = det + sto
+    a, _, a_ok = _sweep(prob, frozen, np.zeros_like(det))
+    b, _, b_ok = _sweep(prob, frozen, det + offset)
+    if not (a_ok and b_ok):
         raise SolverError("one of the uniqueness runs did not converge")
-    return float(np.max(np.abs(a.u - b.u)))
+    return float(np.max(np.abs(a - b)))
 
 
 def mild_residual(prob: PreparedProblem, sol: SolutionField) -> float:

@@ -174,15 +174,10 @@ def check_kernel_structure(levels=(2, 3, 4)) -> CheckResult:
     lines, worst = [], {"sym": 0.0, "ck": 0.0, "mass": 0.0, "bal": 0.0}
     for lvl in levels:
         kern = _kernel_op("vicsek", lvl)
-        m = kern.weights
-        tmid = 0.01 * (4 - lvl) + 0.02
-        P = kern.transition(tmid, clip=False)
-        p = P / m[None, :]
-        sym = float(np.max(np.abs(p - p.T)) / p.max())
-        mass = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
-        bal = float(np.max(np.abs(m[:, None] * P - (m[:, None] * P).T)))
-        Ps, Pt, Pst = (kern.transition(x) for x in (0.1, 0.2, 0.3))
-        ck = float(np.max(np.abs(Ps @ Pt - Pst)))
+        g = kern.invariant_gaps(0.01 * (4 - lvl) + 0.02)
+        sym, mass, bal = (g["density_symmetry_gap"], g["row_sum_gap"],
+                          g["detailed_balance_gap"])
+        ck = kern.chapman_kolmogorov_gap(0.1, 0.2, 0.3)
         worst = {k: max(worst[k], v) for k, v in
                  zip(worst, (sym, ck, mass, bal))}
         lines.append(f"level {lvl}: sym={sym:.2e} ck={ck:.2e} mass={mass:.2e} "

@@ -71,6 +71,23 @@ class TestExitCodes:
         rc = main(["--config", str(cfg), "model", "--out", str(tmp_path)])
         assert rc == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("line", ["format = bogus", "x_ids = 0,a"])
+    def test_bad_config_value_refused(self, tmp_path, line):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[run]\n{line}\n")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "kernel", "--level", "1",
+                   "--times", "0.1", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_bad_x_ids_flag_refused(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["kernel", "--level", "1", "--times", "0.1", "--x-ids", "0,a",
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_threads_knob_removed(self, tmp_path):
         cfg = tmp_path / "t.ini"
         cfg.write_text("[run]\nthreads = 2\n")
@@ -199,6 +216,19 @@ class TestArtifacts:
         assert (tmp_path / "eta.csv").exists()
         conv = (tmp_path / "eta_convergence.csv").read_text().splitlines()
         assert conv[0] == "level,sup_increment" and len(conv) == 5
+
+    def test_eta_boundary_flag_matches_config(self, tmp_path):
+        cfg = tmp_path / "dirichlet.ini"
+        cfg.write_text("[run]\nboundary = dirichlet\n")
+        args = ["eta", "--level", "2", "--depth", "3"]
+        assert main([*args, "--boundary", "dirichlet",
+                     "--out", str(tmp_path / "flag")]) == EXIT_OK
+        assert main(["--config", str(cfg), *args,
+                     "--out", str(tmp_path / "cfg")]) == EXIT_OK
+        flag = (tmp_path / "flag" / "eta.csv").read_bytes()
+        assert flag == (tmp_path / "cfg" / "eta.csv").read_bytes()
+        rows = flag.decode().splitlines()[1:]
+        assert len({row.split(",")[1] for row in rows}) == 72   # 76 minus 4 corners
 
     def test_solve_artifacts(self, tmp_path):
         rc = main(["solve", "--model", "vicsek", "--level", "2", "--depth", "3",

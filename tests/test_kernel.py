@@ -150,7 +150,7 @@ class TestKernelTable:
 
     def test_invariants_report(self, generator_cache):
         tab = kernel(generator_cache("vicsek", 2))
-        rep = tab.check_invariants()
+        rep = tab.kernel.invariant_gaps(tab.times[len(tab.times) // 2])
         assert rep["row_sum_gap"] < 1e-8
         assert rep["density_symmetry_gap"] < 1e-8
         assert rep["min_entry"] > -1e-12
@@ -354,3 +354,24 @@ def test_log_time_grid_density():
     g = log_time_grid(1e-3, 1.0, 20)
     assert len(g) == 61
     assert np.allclose(np.diff(np.log10(g)), np.diff(np.log10(g))[0])
+
+
+class TestSpectralSeam:
+    def test_only_kernel_module_touches_spectral_form(self):
+        # B and the eigenvalues stay behind HeatKernel's methods, so another
+        # backend can replace the dense spectral form inside kernel.py alone
+        import ast
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "fractalheat"
+        touches = {}
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr in ("B", "eigenvalues")]
+            if lines:
+                touches[path.name] = lines
+        assert "kernel.py" in touches      # the scan does see the owner
+        assert {name: lines for name, lines in touches.items()
+                if name != "kernel.py"} == {}

@@ -6,20 +6,18 @@ import pytest
 import fractalheat.kernel as K
 from fractalheat.geometry import CellAddress, build_preset
 from fractalheat.measure import BaseSM, realize
-from fractalheat.paramint import h_matrix, sigma_preset
+from fractalheat.paramint import eval_eta, h_matrix, sigma_preset
 from fractalheat.solver import (
     AssumptionGateError,
     ProblemSpec,
     SolverError,
+    _det_field,
     _nl_field,
     assumption_gate,
-    deterministic_term,
     f_preset,
     mild_residual,
-    nonlinear_term,
     picard_solve,
     prepare,
-    stochastic_term,
     u0_preset,
     uniqueness_check,
 )
@@ -94,10 +92,13 @@ class TestDeterministicTerm:
         assert rels[2] < 0.03
         assert rels[0] > rels[1] > rels[2]
 
-    def test_scalar_api(self, prob2):
-        assert deterministic_term(prob2, 0.0, 3) == prob2.u0_values[3]
-        want = prob2.kernel.apply(0.5, prob2.u0_values)[3]
-        assert deterministic_term(prob2, 0.5, 3) == pytest.approx(want, abs=1e-14)
+    def test_field_rows_are_u0_and_apply(self, prob2):
+        det = _det_field(prob2)
+        assert np.array_equal(det[0], prob2.u0_values)
+        i = 32
+        assert prob2.times[i] == 0.5
+        want = prob2.kernel.apply(0.5, prob2.u0_values)
+        assert np.allclose(det[i], want, rtol=0, atol=1e-14)
 
 
 class TestNonlinearTerm:
@@ -120,17 +121,23 @@ class TestNonlinearTerm:
         nl = sol.u - sol.deterministic - sol.stochastic
         assert np.abs(nl - 0.5 * (sol.times ** 2)[:, None]).max() < 1e-6
 
-    def test_scalar_api_matches_field(self, prob2, sol2):
+    @staticmethod
+    def _nl_at(prob, u, t, x):
+        """Nonlinear term at (t, x) through the field form on the solve grid
+        cut at t."""
+        grid = np.append(prob.times[prob.times < t], t)
+        return float(_nl_field(prob, u, grid, [x])[-1, 0])
+
+    def test_cut_grid_matches_field(self, prob2, sol2):
         i, x = 10, 7
-        t = float(sol2.times[i])
-        got = nonlinear_term(prob2, sol2.u, t, x)
+        got = self._nl_at(prob2, sol2.u, float(sol2.times[i]), x)
         want = sol2.u[i, x] - sol2.deterministic[i, x] - sol2.stochastic[i, x]
         assert got == pytest.approx(want, abs=5e-8)
 
-    def test_scalar_api_just_past_grid_time(self, prob2, sol2):
+    def test_cut_grid_just_past_grid_time(self, prob2, sol2):
         # a last step of 1e-9 adds next to nothing to the grid value
         i, x = 10, 7
-        got = nonlinear_term(prob2, sol2.u, float(sol2.times[i]) + 1e-9, x)
+        got = self._nl_at(prob2, sol2.u, float(sol2.times[i]) + 1e-9, x)
         want = sol2.u[i, x] - sol2.deterministic[i, x] - sol2.stochastic[i, x]
         assert got == pytest.approx(want, abs=5e-8)
 
@@ -162,8 +169,8 @@ class TestStochasticTerm:
         t = float(prob.times[16])
         aid = prob.hfunction.snap_ids(2)[4]
         want = h_matrix(prob.hfunction, t)[:, aid]
-        got = np.array([stochastic_term(prob, t, x)
-                        for x in (0, 5, 40)])
+        got = eval_eta(prob.hfunction, prob.realization, [t], n_max=prob.spec.depth,
+                       x_ids=[0, 5, 40], anchor_rule=prob.spec.anchor_rule).eta[0]
         assert np.allclose(got, want[[0, 5, 40]], atol=1e-12)
 
 
