@@ -189,12 +189,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cp = configparser.ConfigParser()
         if not cp.read(args.config):
             raise ValidationError(f"cannot read config file {args.config!r}")
+        # configparser lowercases option names, so keys match case-blind
+        names = {k.lower(): k for k in cfg}
         for section in cp.sections():
             for key, val in cp[section].items():
                 key = key.replace("-", "_")
-                if key not in cfg:
+                if key not in names:
                     raise ValidationError(f"unknown config key {key!r}")
-                cfg[key] = val
+                cfg[names[key]] = val
     for key, val in vars(args).items():
         if val is not None:
             cfg[key] = val
@@ -216,8 +218,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if cfg["format"] not in ("csv", "binary"):
         raise ValidationError(f"unknown format {cfg['format']!r}")
     if cfg["x_ids"]:
+        text = cfg["x_ids"].strip()
+        if text.startswith("[") and text.endswith("]"):    # echoed list form
+            text = text[1:-1]
         try:
-            cfg["x_ids"] = [int(tok) for tok in cfg["x_ids"].split(",")]
+            cfg["x_ids"] = [int(tok) for tok in text.split(",")]
         except ValueError:
             raise ValidationError(
                 f"x_ids={cfg['x_ids']!r} is not a comma list of integers") from None
@@ -277,10 +282,13 @@ def cmd_kernel(cfg: dict) -> list[str]:
     times = parse_times(cfg["times"]) if cfg["times"] else None
     vs = vertex_set(model, cfg["level"], cfg["blowup"])
     gen = build_generator(vs, boundary=cfg["boundary"])
+    x_ids = cfg["x_ids"]
+    V = len(gen.kept)
+    if x_ids is not None and not all(0 <= x < V for x in x_ids):
+        raise ValidationError(f"x_ids={x_ids} outside the kernel ids [0, {V})")
     tab = kernel(gen, times=times)
     out = _outdir(cfg)
     files = []
-    x_ids = cfg["x_ids"]
     if cfg["format"] == "binary":
         tab.to_binary(os.path.join(out, "kernel.bin"))
         files.append("kernel.bin")

@@ -294,13 +294,6 @@ class VertexSet:
     def n_vertices(self) -> int:
         return len(self.points)
 
-    @property
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
-        return deg
-
     def vertex_cells(self, vid: int) -> np.ndarray:
         """Cell row indices (word ranks) containing the vertex."""
         return np.nonzero(np.any(self.cell_vertex_ids == vid, axis=1))[0]

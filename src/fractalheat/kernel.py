@@ -180,6 +180,53 @@ def duhamel_weights(z, order: int) -> np.ndarray:
     return (mom * (2 * n + 1)) @ (legendre * w[:, None]).T
 
 
+def _factor_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor an (n, v) array as a = coef @ q, with q of orthonormal rows, by
+    row-pivoted Gram-Schmidt; in place when a is C-contiguous float64.
+
+    Each step takes the residual row of largest norm, orthogonalizes it
+    against the accepted rows in two passes (one pass leaves overlaps of the
+    rounding level relative to the original rows, which grow as the residual
+    shrinks) and projects it out of the remaining rows.  It stops once no
+    residual row exceeds the rounding level max(n, v) eps max_i |a_i|.  The
+    first R rows of a then hold q, returned as a view; coef is (n, R).
+    """
+    from scipy.linalg.blas import dger
+
+    a = np.ascontiguousarray(a, dtype=float)      # dger updates rows in place
+    n, v = a.shape
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
+    tol = max(n, v) * np.finfo(float).eps * norms.max(initial=0.0)
+    if not np.isfinite(tol):
+        raise KernelError("Duhamel source has non-finite values")
+    order = np.arange(n)                  # input row held in row i of a
+    coef = np.zeros((n, min(n, v)))
+    r = 0
+    while r < min(n, v):
+        p = r + int(np.argmax(norms[r:]))
+        if not norms[p] > tol:
+            break
+        for x in (a, coef, order, norms):
+            x[[r, p]] = x[[p, r]]
+        q = a[r]
+        for _ in range(2):
+            d = a[:r] @ q
+            q -= d @ a[:r]
+            coef[r, :r] += d
+        coef[r, r] = np.linalg.norm(q)
+        q /= coef[r, r]
+        rest = a[r + 1:]
+        if len(rest):
+            c = rest @ q
+            dger(-1.0, q, c, a=rest.T, overwrite_a=1)     # rest -= c q^T in place
+            coef[r + 1:, r] = c
+            norms[r + 1:] = np.sqrt(np.einsum("ij,ij->i", rest, rest))
+        r += 1
+    out = np.empty((n, r))
+    out[order] = coef[:, :r]
+    return out, a[:r]
+
+
 class HeatKernel:
     """Dense spectral form of exp(tL): evaluates transition matrices, densities,
     rows and diagonals at arbitrary t >= 0, and the Duhamel integrals
@@ -291,26 +338,60 @@ class HeatKernel:
                     self._duhamel_cache[key] = (np.exp(z), h * duhamel_weights(z, order))
             yield (b, a + h * theta, *self._duhamel_cache[key])
 
-    def duhamel(self, times, source, ids=None) -> np.ndarray:
-        """int_{t_0}^{t_i} P(t_i - s) g(s) ds at every time t_i of a sorted grid.
+    def duhamel(self, times, source, ids=None, fields=None, at=None) -> np.ndarray:
+        """int_{t_0}^{t_i} P(t_i - s) g(s) ds at the times t_i of a sorted grid.
 
-        source(s) returns g at the DUHAMEL_ORDER Gauss nodes s of one step,
-        as a (P, V) or (P, V, C) array.  The mode coefficients advance by
+        source(s) is called once per step, at the DUHAMEL_ORDER Gauss nodes s
+        of that step.  Per-node form (fields None): it returns g itself, a
+        (P, V) or (P, V, C) array, and every node's g is moved into modes,
+        ghat(s_j) = B^T (m g(s_j)); the coefficients advance by
         acc <- exp(lam h) acc + sum_j W_j(lam h) ghat(s_j), exact in the
-        eigenvalues; the result holds rows ids (default all) of every grid
-        time, shape (K, X) or (K, X, C), and is zero at t_0.
+        eigenvalues.
+
+        Separable form: g(s, y, c) = source(s)[y] fields[y, c], with source
+        returning (P, V) values and fields a fixed (V, C) block.  The values
+        at all nodes of the grid are sampled into one (nodes, V) array and
+        factored as coef @ Q (_factor_rows), Q with orthonormal rows; the
+        factor stops at the rounding level max(nodes, V) eps max_i |row_i|,
+        so a source of rank R in (s, y) keeps R terms and the result matches
+        the per-node form to rounding.  Only the R C columns Q_r * fields go
+        into modes, once; each step then adds sum_r (W coef_step)[:, r] Fhat_r.
+
+        The result holds rows ids (default all) at the grid indices at
+        (default every grid time), shape (K, X) for a (P, V) per-node source,
+        else (K, X, C); it is zero at t_0.
         """
-        accs, acc = [], 0.0
-        for _, nodes, E, W in self._duhamel_steps(times):
-            g = np.asarray(source(nodes), dtype=float)
-            P, V = g.shape[:2]
-            cols = self.weights[:, None] * np.moveaxis(g, 0, 1).reshape(V, -1)
-            ghat = (self.B.T @ cols).reshape(V, P, -1)
-            acc = E[:, None] * acc + np.einsum("kj,kjc->kc", W, ghat)
-            accs.append(acc)
+        steps = list(self._duhamel_steps(times))
+        V = self.n_vertices
+        vector = False                  # a (P, V) per-node source: (K, X) out
+        if fields is None:
+            def forcing(i, nodes, W):
+                nonlocal vector
+                g = np.asarray(source(nodes), dtype=float)
+                vector = g.ndim == 2
+                cols = self.weights[:, None] * np.moveaxis(g, 0, 1).reshape(V, -1)
+                ghat = (self.B.T @ cols).reshape(V, len(nodes), -1)
+                return np.einsum("kj,kjc->kc", W, ghat)
+        else:
+            P = DUHAMEL_ORDER
+            samples = np.empty((len(steps) * P, V))
+            for i, (_, nodes, _, _) in enumerate(steps):
+                samples[i * P:(i + 1) * P] = source(nodes)
+            coef, Q = _factor_rows(samples)
+            fields = np.asarray(fields, dtype=float)
+            cols = (self.weights[:, None] * Q.T)[:, :, None] * fields[:, None, :]
+            fhat = (self.B.T @ cols.reshape(V, -1)).reshape(cols.shape)
+
+            def forcing(i, nodes, W):
+                return np.einsum("kr,krc->kc", W @ coef[i * P:(i + 1) * P], fhat)
+        accs = [0.0]
+        for i, (_, nodes, E, W) in enumerate(steps):
+            accs.append(E[:, None] * accs[-1] + forcing(i, nodes, W))
+        accs[0] = np.zeros_like(accs[-1])
+        keep = range(len(accs)) if at is None else np.asarray(at)
         rows = self.B if ids is None else self.B[np.asarray(ids)]
-        out = rows @ np.stack([np.zeros_like(acc)] + accs)
-        return out[..., 0] if g.ndim == 2 else out
+        out = rows @ np.stack([accs[i] for i in keep])
+        return out[..., 0] if vector else out
 
     def duhamel_pairs(self, times, source, ids=None) -> np.ndarray:
         """Pair form of the rule of duhamel() to the last grid time t_K:

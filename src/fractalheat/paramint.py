@@ -4,10 +4,14 @@ The integrand is h((t, x), y) = int_0^t p(t - s, x, y) sigma(s, y) ds.  The s
 integral runs through the kernel's Duhamel rule (HeatKernel.duhamel): on each
 step of a grid from 0, refined so no step exceeds ETA_MAX_STEP * T, sigma is
 interpolated at Gauss nodes and the semigroup factor exp(lam (t - s)) is
-integrated exactly in every eigenvalue.  eval_h keeps the older, independent
-rule as an oracle: Gauss-Legendre panels graded dyadically toward s = t, whose
-dropped head below t * 2^-panel_depth is bounded by its length times the
-density ceiling 1/min(m).
+integrated exactly in every eigenvalue.  eval_eta hands sigma to the rule's
+separable form: sigma is sampled once per Gauss node, and every level's
+source sigma(s, y) agg_n(y) enters the eigenbasis once per factor of those
+samples (one for every shipped preset), not once per node.
+
+eval_h keeps the older, independent rule as an oracle: Gauss-Legendre panels
+graded dyadically toward s = t, whose dropped head below t * 2^-panel_depth
+is bounded by its length times the density ceiling 1/min(m).
 
 eta is approximated by S^(n)(z) = sum_cells h(z, anchor) mass(cell); anchors
 deeper than the kernel level are snapped to the nearest vertex, and a cell
@@ -284,12 +288,17 @@ class EtaEvaluation:
 
 def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
              x_ids=None, anchor_rule: int = 0) -> EtaEvaluation:
-    """Evaluate the cell-sum scheme on (z_times x x_ids).
+    """Evaluate the cell-sum scheme on (z_times x x_ids), x_ids default all.
 
     For each level the cell masses are aggregated onto their (snapped) anchor
     vertices; one Duhamel sweep over the grid then carries the sources
     sigma(s, .) * agg_n of all levels at once, so no V x V matrix is formed.
-    The result matches integrate() with g = h(z, .) up to summation order.
+    The sweep uses the kernel's separable form with fields agg_n / m: sigma
+    is called once per Gauss node, the (node, vertex) samples are factored
+    to their numerical rank R, and R x levels columns are moved into modes
+    instead of nodes x levels.  Only the grid times in z_times are moved
+    back to vertices.  The result matches integrate() with g = h(z, .) up
+    to summation order.
     """
     if real.n_max < n_max:
         raise ParamIntegralError("measure realization shallower than n_max")
@@ -297,10 +306,8 @@ def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
         raise ParamIntegralError("realization and kernel live on different blow-ups")
     times = np.atleast_1d(np.asarray(z_times, dtype=float))
     kern = hf.kernel
-    if x_ids is None:
-        x_ids = np.arange(kern.n_vertices)
-    x_ids = np.asarray(x_ids, dtype=np.int64)
     V = kern.n_vertices
+    rows = None if x_ids is None else np.asarray(x_ids, dtype=np.int64)
     agg = np.zeros((n_max + 1, V))
     for n in range(n_max + 1):
         ids = hf.snap_ids(n, anchor_rule)
@@ -311,12 +318,13 @@ def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
     pts = hf.points
 
     def source(nodes):
-        return np.stack([hf.sigma(s, pts)[:, None] * per_weight for s in nodes])
+        return np.stack([hf.sigma(s, pts) for s in nodes])
 
     grid, at = _duhamel_grid(hf, times)
-    vals = kern.duhamel(grid, source, ids=x_ids)                   # (G, X, levels)
-    partial = vals[at].transpose(2, 0, 1)
-    return EtaEvaluation(times, x_ids, kern.gen.points[x_ids], partial, anchor_rule)
+    vals = kern.duhamel(grid, source, ids=rows, fields=per_weight, at=at)  # (K, X, levels)
+    x_ids = np.arange(V) if rows is None else rows
+    return EtaEvaluation(times, x_ids, kern.gen.points[x_ids],
+                         vals.transpose(2, 0, 1), anchor_rule)
 
 
 @dataclass

@@ -88,6 +88,23 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("ids", ["-1", "0,999", "12"])
+    def test_x_ids_out_of_range_refused(self, tmp_path, ids):
+        # level 1 has 16 vertices; Dirichlet keeps 12 of them
+        out = tmp_path / "out"
+        rc = main(["kernel", "--level", "1", "--times", "0.1", "--boundary",
+                   "dirichlet", "--x-ids", ids, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_uppercase_T_config_key(self, tmp_path):
+        cfg = tmp_path / "t.ini"
+        cfg.write_text("[run]\nT = 2.0\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "eta", "--level", "1", "--depth", "2",
+                     "--out", str(out)]) == EXIT_OK
+        assert "t = 2.0\n" in (out / "config_resolved.ini").read_text()
+
     def test_threads_knob_removed(self, tmp_path):
         cfg = tmp_path / "t.ini"
         cfg.write_text("[run]\nthreads = 2\n")
@@ -229,6 +246,19 @@ class TestArtifacts:
         assert flag == (tmp_path / "cfg" / "eta.csv").read_bytes()
         rows = flag.decode().splitlines()[1:]
         assert len({row.split(",")[1] for row in rows}) == 72   # 76 minus 4 corners
+
+    @pytest.mark.parametrize("args, names", [
+        (["kernel", "--level", "2", "--x-ids", "0,3"], ["kernel.csv", "kernel_diag.csv"]),
+        (["eta", "--level", "2", "--depth", "3", "--T", "2.0"],
+         ["eta.csv", "eta_convergence.csv"]),
+    ])
+    def test_echoed_config_round_trip(self, tmp_path, args, names):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([*args, "--out", str(first)]) == EXIT_OK
+        echoed = str(first / "config_resolved.ini")
+        assert main(["--config", echoed, args[0], "--out", str(second)]) == EXIT_OK
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_solve_artifacts(self, tmp_path):
         rc = main(["solve", "--model", "vicsek", "--level", "2", "--depth", "3",

@@ -317,6 +317,40 @@ class TestDuhamel:
         assert row.shape == (kern.n_vertices,)
         assert np.abs(row - pairs[9]).max() < 1e-15 * scale
 
+    def test_separable_form_matches_per_node(self, kernel_cache):
+        # g(s, y, c) = a(s, y) fields[y, c] with a of rank 2 in (s, y)
+        kern = kernel_cache("vicsek", 2)
+        rng = np.random.default_rng(1)
+        modes = rng.normal(size=(2, kern.n_vertices))
+        fields = rng.normal(size=(kern.n_vertices, 3))
+
+        def values(s):
+            return np.stack([np.ones_like(s), np.sin(3.0 * s)], axis=1) @ modes
+
+        grid = np.array([0.0, 0.05, 0.3, 0.31, 0.7])
+        ref = kern.duhamel(grid, lambda s: values(s)[:, :, None] * fields[None])
+        at = [4, 1, 1]
+        got = kern.duhamel(grid, values, ids=[4, 9], fields=fields, at=at)
+        assert got.shape == (3, 2, 3)
+        assert np.abs(got - ref[at][:, [4, 9]]).max() < 1e-14 * np.abs(ref).max()
+
+    def test_factor_rows(self):
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(40, 3)) @ rng.normal(size=(3, 25))
+        ref = a.copy()
+        coef, q = K._factor_rows(a)
+        assert q.shape == (3, 25) and np.shares_memory(q, a)
+        assert np.abs(q @ q.T - np.eye(3)).max() < 1e-15 * 25
+        assert np.abs(coef @ q - ref).max() < 1e-14 * np.abs(ref).max()
+        wide = rng.normal(size=(5, 9))          # full rank, Fortran order: copied
+        coef, q = K._factor_rows(np.asfortranarray(wide))
+        assert q.shape == (5, 9)
+        assert np.abs(coef @ q - wide).max() < 1e-14 * np.abs(wide).max()
+        coef, q = K._factor_rows(np.zeros((8, 5)))
+        assert coef.shape == (8, 0) and q.shape == (0, 5)
+        with pytest.raises(KernelError):
+            K._factor_rows(np.full((8, 5), np.inf))
+
     def test_grid_must_increase(self, kernel_cache):
         kern = kernel_cache("vicsek", 2)
         with pytest.raises(KernelError):

@@ -10,6 +10,7 @@ from fractalheat.paramint import (
     HFunction,
     ParamIntegralError,
     SigmaFunction,
+    _duhamel_grid,
     estimate_h_holder,
     eval_eta,
     eval_h,
@@ -188,6 +189,97 @@ class TestEvalEta:
         assert len(lines) == 1 + 4 * 2 * hf2.kernel.n_vertices
         conv = (tmp_path / "conv.csv").read_text().strip().splitlines()
         assert conv[0] == "level,sup_increment" and len(conv) == 4
+
+
+def _per_node_eta(hf, real, times, n_max, x_ids=None):
+    """Reference: eval_eta's sources moved into modes one Gauss node at a
+    time, through the kernel's per-node Duhamel form."""
+    kern = hf.kernel
+    agg = np.zeros((n_max + 1, kern.n_vertices))
+    for n in range(n_max + 1):
+        ids = hf.snap_ids(n)
+        kept = ids >= 0
+        np.add.at(agg[n], ids[kept], real.level_masses(n)[kept])
+    per_weight = (agg / kern.weights).T
+    pts = hf.points
+
+    def source(nodes):
+        return np.stack([hf.sigma(s, pts)[:, None] * per_weight for s in nodes])
+
+    grid, at = _duhamel_grid(hf, times)
+    return kern.duhamel(grid, source, ids=x_ids)[at].transpose(2, 0, 1)
+
+
+def _bump_sigma():
+    # travels across the set with time: rank well above 1 in (s, y)
+    return SigmaFunction(lambda s, pts: np.exp(-(pts[:, 0] - s) ** 2 / 0.02),
+                         1.0, 10.0, 1.0, "bump")
+
+
+class TestSeparableEta:
+    """eval_eta moves sigma into modes once per factor of its (node, vertex)
+    samples; the per-node rule is the reference."""
+
+    TIMES = np.linspace(0.0625, 1.0, 16)
+
+    def _check(self, monkeypatch, kern, sigma, x_ids=None, n_max=4):
+        import fractalheat.kernel as K
+
+        ranks, calls = [], []
+        factor = K._factor_rows
+
+        def spy(a):
+            coef, q = factor(a)
+            ranks.append(q.shape[0])
+            return coef, q
+
+        monkeypatch.setattr(K, "_factor_rows", spy)
+        counted = SigmaFunction(lambda s, pts: calls.append(s) or sigma.fn(s, pts),
+                                sigma.c_bound, sigma.holder_const, sigma.holder_exp)
+        hf = HFunction(kern, counted, T=1.0, strict=False)
+        real = realize(BaseSM("gaussian_white", seed=5), kern.model, n_max=n_max)
+        got = eval_eta(hf, real, self.TIMES, n_max, x_ids=x_ids).partial
+        grid, _ = _duhamel_grid(hf, self.TIMES)
+        assert len(calls) == K.DUHAMEL_ORDER * (len(grid) - 1)   # once per node
+        want = _per_node_eta(hf, real, self.TIMES, n_max, x_ids)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        return ranks[0], got
+
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("name", ["smooth", "constant", "time_linear", "rough_half"])
+    def test_presets_are_rank_one(self, monkeypatch, kernel_cache, vicsek, level, name):
+        rank, _ = self._check(monkeypatch, kernel_cache("vicsek", level),
+                              sigma_preset(name, vicsek))
+        assert rank == 1
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_non_separable_sigma(self, monkeypatch, kernel_cache, level):
+        rank, _ = self._check(monkeypatch, kernel_cache("vicsek", level), _bump_sigma())
+        assert rank > 1
+
+    def test_zero_sigma_is_rank_zero(self, monkeypatch, kernel_cache):
+        zero = SigmaFunction(lambda s, pts: np.zeros(len(pts)), 0.0, 0.0, 1.0)
+        rank, got = self._check(monkeypatch, kernel_cache("vicsek", 2), zero)
+        assert rank == 0 and not got.any()
+
+    @pytest.mark.parametrize("name", ["smooth", "bump"])
+    def test_dirichlet_kernel(self, monkeypatch, kernel_cache, vicsek, name):
+        sigma = _bump_sigma() if name == "bump" else sigma_preset(name, vicsek)
+        self._check(monkeypatch, kernel_cache("vicsek", 3, 0, "dirichlet"), sigma)
+
+    def test_x_ids_subset(self, monkeypatch, kernel_cache, vicsek):
+        _, got = self._check(monkeypatch, kernel_cache("vicsek", 3),
+                             _bump_sigma(), x_ids=[0, 7, 200, 375])
+        assert got.shape == (5, len(self.TIMES), 4)
+
+    def test_non_finite_sigma_refused(self, kernel_cache):
+        from fractalheat.kernel import KernelError
+
+        bad = SigmaFunction(lambda s, pts: np.full(len(pts), np.nan), 1.0, 0.0, 1.0)
+        hf = HFunction(kernel_cache("vicsek", 2), bad, T=1.0, strict=False)
+        real = realize(BaseSM("gaussian_white", seed=5), hf.model, n_max=2)
+        with pytest.raises(KernelError):
+            eval_eta(hf, real, [0.5], 2)
 
 
 class TestAnchorRules:
