@@ -277,7 +277,7 @@ def cmd_model(cfg: dict) -> list[str]:
 
 def cmd_kernel(cfg: dict) -> list[str]:
     from .geometry import vertex_set
-    from .kernel import build_generator, kernel
+    from .kernel import DENSE_TABLE_LIMIT, build_generator, kernel
     model = _resolve_model(cfg["model"])
     times = parse_times(cfg["times"]) if cfg["times"] else None
     vs = vertex_set(model, cfg["level"], cfg["blowup"])
@@ -293,7 +293,7 @@ def cmd_kernel(cfg: dict) -> list[str]:
         tab.to_binary(os.path.join(out, "kernel.bin"))
         files.append("kernel.bin")
     else:
-        if x_ids is None and tab.kernel.n_vertices > 600:
+        if x_ids is None and tab.kernel.n_vertices > DENSE_TABLE_LIMIT:
             x_ids = list(range(8))
         tab.to_csv(os.path.join(out, "kernel.csv"), x_ids=x_ids)
         files.append("kernel.csv")

@@ -10,9 +10,19 @@ The kernel is held in dense spectral form, its only backend: with
 S = M^{1/2} L M^{-1/2} = U diag(lam) U^T and B = M^{-1/2} U, the density matrix
 is p(t) = B exp(t lam) B^T (symmetric by construction) and P(t) = p(t) * m[col].
 Every evaluation below (densities, rows, diagonals, P(t) v and the Duhamel
-integrals) reads B and lam; no other module does.  The form costs dense V x V
-arrays and an O(V^3) eigh, so build_generator refuses vertex sets above
-DENSE_EIG_LIMIT with KernelSizeError before it allocates.
+integrals) reads B and lam; no other module does.
+
+S is factored block by block.  A nested fractal is mapped to itself by the
+reflection in the hyperplane bisecting any two essential fixed points
+(Lindstrom, Mem. AMS 420, 1990); the reflections that verifiably keep the
+generator and the weights, reduced to a maximal commuting set, form a group
+Z2^k (Z2 x Z2 on Vicsek, Z2 on the gasket).  In its symmetry-adapted basis
+(Fassler & Stiefel, Group Theoretical Methods and Their Applications, 1992)
+S splits into one block per character, so the eigensolve costs the sum of
+block^3: about V^3 / 16 on Vicsek and V^3 / 4 on the gasket.  A generator
+with no verified symmetry is one block, the plain eigh of S.  Memory stays
+dense V x V (the generator, B, density matrices), so build_generator refuses
+vertex sets above DENSE_EIG_LIMIT with KernelSizeError before it allocates.
 
 Diagnostics estimate the on-diagonal decay exponent (spectral dimension), the
 spatial Hoelder exponent of the kernel, and a sub-Gaussian upper envelope
@@ -21,6 +31,7 @@ c2 t^{-d_s/2} exp(-c3 (|x-y|^{d_w}/t)^{1/(d_J - 1)}).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _text
-from .geometry import FractalModel, VertexSet, measure_weights
+from .geometry import DEDUP_DECIMALS, FractalModel, VertexSet, measure_weights
 
 __all__ = [
     "GeneratorMatrix",
@@ -49,9 +60,10 @@ __all__ = [
 ]
 
 # dense budget: build_generator refuses larger vertex sets.  The generator, B
-# and every density matrix are V x V float64 (128 MB each at this size) and eigh
-# costs O(V^3).  Vicsek fits up to level 4 (V = 1,876; level 5 has 9,376), the
-# gasket up to level 7 (V = 3,282)
+# and every density matrix are V x V float64 (128 MB each at this size), so
+# memory sets the cap; the block eigensolve costs the sum of block^3 (V^3 / 16
+# on Vicsek, V^3 / 4 on the gasket).  Vicsek fits up to level 4 (V = 1,876;
+# level 5 has 9,376), the gasket up to level 7 (V = 3,282)
 DENSE_EIG_LIMIT = 4000
 # dense P(t) matrices are stored on the grid only below this size
 DENSE_TABLE_LIMIT = 600
@@ -129,23 +141,27 @@ def build_generator(vs: VertexSet, model: FractalModel | None = None,
     # cells of the blow-up domain have diameter alpha^(M-n); the jump rate that
     # keeps the walk on the fixed-time diffusion clock is the -d_w power of that
     rate = model.time_scale ** (vs.level - vs.blowup)
-    A = np.zeros((V, V))
-    A[vs.edges[:, 0], vs.edges[:, 1]] = 1.0
-    A[vs.edges[:, 1], vs.edges[:, 0]] = 1.0
-    deg = A.sum(axis=1)
-    L = rate * (A / deg[:, None])
-    np.fill_diagonal(L, -rate)
-    mw = measure_weights(vs)
     kept = np.arange(V)
     if boundary == "dirichlet":
         drop = vs.boundary_ids()
         if len(drop) == 0:
             raise KernelError("no designated boundary vertices found")
         kept = np.setdiff1d(kept, drop)
-        L = L[np.ix_(kept, kept)]
-    m = mw.weights[kept]
-    W = m[:, None] * L
-    gap = float(np.max(np.abs(W - W.T)) / max(np.max(np.abs(W)), 1e-300))
+    deg = np.bincount(vs.edges.ravel(), minlength=V).astype(float)
+    jump = rate * (1.0 / deg)           # L[x, y] for every neighbour y of x
+    pos = np.full(V, -1)
+    pos[kept] = np.arange(len(kept))
+    a, b = vs.edges[(pos[vs.edges] >= 0).all(axis=1)].T
+    L = np.zeros((len(kept), len(kept)))
+    L[pos[a], pos[b]] = jump[a]
+    L[pos[b], pos[a]] = jump[b]
+    np.fill_diagonal(L, -rate)
+    m = measure_weights(vs).weights[kept]
+    # m_x L[x, y] off the diagonal is nonzero on edges only
+    flux_ab, flux_ba = m[pos[a]] * jump[a], m[pos[b]] * jump[b]
+    scale = max(np.max(m * rate, initial=0.0), np.max(flux_ab, initial=0.0),
+                np.max(flux_ba, initial=0.0), 1e-300)
+    gap = float(np.max(np.abs(flux_ab - flux_ba), initial=0.0) / scale)
     return GeneratorMatrix(vs, L, rate, boundary, kept, m, gap)
 
 
@@ -227,26 +243,118 @@ def _factor_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, a[:r]
 
 
+def _reflection_group(gen: GeneratorMatrix, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Commuting reflection symmetries of a generator, as a (2^k, V') array of
+    vertex permutations; row e applies the generators whose bits e sets.
+
+    The candidates are the reflections in the hyperplanes bisecting pairs of
+    essential fixed points (blow-up scaled), which map a nested fractal and
+    its vertex graph to itself.  A candidate is kept only if it permutes the
+    kernel's points (matched within the dedup tolerance) and leaves the
+    generator's nonzeros L[i, j] and the weights exactly unchanged, and only
+    if it commutes with the reflections kept before it and lies outside the
+    group they generate.  A generator without a vertex set has the trivial
+    group.
+    """
+    from scipy.spatial import cKDTree
+
+    V = len(gen.weights)
+    group = np.arange(V)[None, :]
+    if gen.vs is None:
+        return group
+    model = gen.model
+    pts = gen.points
+    tree = cKDTree(pts)
+    ess = model.alpha ** gen.vs.blowup * model.essential_fixed_points
+    values = gen.matrix[i, j]
+    for a, b in itertools.combinations(ess, 2):
+        n = (b - a) / np.linalg.norm(b - a)
+        image = pts - 2.0 * ((pts - 0.5 * (a + b)) @ n)[:, None] * n
+        dist, g = tree.query(image, distance_upper_bound=10.0 ** -DEDUP_DECIMALS)
+        if not (np.all(np.isfinite(dist)) and np.array_equal(g[g], group[0])
+                and np.array_equal(gen.weights[g], gen.weights)
+                and np.array_equal(gen.matrix[g[i], g[j]], values)):
+            continue
+        gens = group[2 ** np.arange(len(group).bit_length() - 1)]
+        if (all(np.array_equal(g[h], h[g]) for h in gens)
+                and not any(np.array_equal(g, h) for h in group)):
+            group = np.concatenate([group, g[group]])
+    return group
+
+
 class HeatKernel:
     """Dense spectral form of exp(tL): evaluates transition matrices, densities,
     rows and diagonals at arbitrary t >= 0, and the Duhamel integrals
-    int P(t - s) g(s) ds on a time grid."""
+    int P(t - s) g(s) ds on a time grid.
+
+    S = M^{1/2} L M^{-1/2}, symmetrized, is factored block by block: each
+    character chi of the reflection group G (_reflection_group) spans the
+    signed orbit sums u_r = n_r^{-1/2} sum_{x in O(r)} chi(x) e_x over the
+    orbit representatives r whose stabilizer chi is trivial on, and S maps
+    each span into itself.  The block entries are
+    u_r^T S u_s = (n_r / n_s)^{1/2} sum_{y in O(s)} chi(y) S[r, y], gathered
+    from the nonzeros of L, and the block eigenvectors are scattered back into
+    B.  The eigenvalues come block after block, ascending within a block.
+    With the trivial group the one block is S itself.
+    """
 
     def __init__(self, gen: GeneratorMatrix):
         self.gen = gen
         self.weights = gen.weights
         self._sqrt_m = np.sqrt(self.weights)
-        S = (self._sqrt_m[:, None] * gen.matrix) / self._sqrt_m[None, :]
-        S = 0.5 * (S + S.T)
-        try:
-            # divide and conquer: the default MRRR routine stalls on the
-            # highly degenerate Vicsek spectrum
-            lam, U = scipy.linalg.eigh(S, driver="evd")
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-            raise KernelError(f"eigendecomposition failed: {exc}") from exc
-        self.eigenvalues = lam
-        self.B = U / self._sqrt_m[:, None]
+        V = len(self.weights)
+        i, j = np.nonzero(gen.matrix != 0)
+        # S = (A + A^T) / 2 with A = M^{1/2} L M^{-1/2}, as a coordinate list
+        half = 0.5 * ((self._sqrt_m[i] * gen.matrix[i, j]) / self._sqrt_m[j])
+        rows, cols, vals = np.r_[i, j], np.r_[j, i], np.r_[half, half]
+        perms = _reflection_group(gen, i, j)
+        ids = np.arange(V)
+        rep = perms.min(axis=0)                      # orbit representative
+        moved = perms[:, rep]                        # (|G|, V) images of rep
+        fixes = moved == rep                         # element fixes the rep
+        size = len(perms) // fixes.sum(axis=0)       # orbit size
+        to_x = np.argmax(moved == ids, axis=0)       # an element taking rep to x
+        elems = np.arange(len(perms))
+        # column-major, as LAPACK returns U: the (V, k) products with B.T on
+        # the Duhamel path ran about 20% slower on a row-major B (Vicsek L3,
+        # 2 cores)
+        U = np.zeros((V, V), order="F")
+        lams, start = [], 0
+        for c in elems:
+            chi = np.array([(-1.0) ** bin(e & c).count("1") for e in elems])
+            member = np.all((chi[:, None] > 0) | ~fixes, axis=0)
+            reps = np.flatnonzero(member & (rep == ids))
+            pos = np.full(V, -1)
+            pos[reps] = np.arange(len(reps))
+            on = (pos[rows] >= 0) & member[cols]
+            r, s = rows[on], cols[on]
+            w = np.sqrt(size[r] / size[s]) * chi[to_x[s]] * vals[on]
+            n = len(reps)
+            Sb = np.bincount(pos[r] * n + pos[rep[s]], weights=w,
+                             minlength=n * n).reshape(n, n)
+            try:
+                # divide and conquer: the default MRRR routine stalls on the
+                # highly degenerate Vicsek spectrum.  The two triangles of Sb
+                # are sums over different orbits, equal only to rounding
+                lam, Ub = scipy.linalg.eigh(0.5 * (Sb + Sb.T), driver="evd")
+            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+                raise KernelError(f"eigendecomposition failed: {exc}") from exc
+            x = np.flatnonzero(member)
+            coef = chi[to_x[x]] / np.sqrt(size[x])
+            U[x, start:start + n] = coef[:, None] * Ub[pos[rep[x]]]
+            lams.append(lam)
+            start += n
+        U /= self._sqrt_m[:, None]
+        self.eigenvalues = np.concatenate(lams)
+        self.B = U
+        self._block_sizes = tuple(len(lam) for lam in lams)
         self._duhamel_cache: dict = {}
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        """Sizes of the symmetry blocks S was factored in, one per character
+        of the reflection group; they sum to V'."""
+        return self._block_sizes
 
     @property
     def n_vertices(self) -> int:

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import fractalheat.kernel as K
 from fractalheat.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
@@ -189,6 +190,20 @@ class TestArtifacts:
         lines = (tmp_path / "kernel.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 76
         assert {l.split(",")[1] for l in lines[1:]} == {"0", "3"}
+
+    @pytest.mark.parametrize("level,limit,rows", [(3, None, 376), (4, None, 8),
+                                                  (3, 375, 8)])
+    def test_kernel_csv_default_rows(self, tmp_path, monkeypatch, level, limit, rows):
+        # every row up to DENSE_TABLE_LIMIT vertices, the first 8 above it
+        if limit is not None:
+            monkeypatch.setattr(K, "DENSE_TABLE_LIMIT", limit)
+        rc = main(["kernel", "--model", "vicsek", "--level", str(level),
+                   "--times", "0.1", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        with open(tmp_path / "kernel.csv") as f:
+            next(f)
+            x_ids = {line.split(",", 2)[1] for line in f}
+        assert x_ids == {str(x) for x in range(rows)}
 
     def test_kernel_binary(self, tmp_path):
         rc = main(["kernel", "--model", "vicsek", "--level", "1",

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fractalheat.kernel as K
-from fractalheat.geometry import build_preset, vertex_set
+from fractalheat.geometry import build_preset, model_from_ifs, vertex_set
 from fractalheat.kernel import (
     HeatKernel,
     HeatKernelTable,
@@ -22,6 +24,8 @@ from fractalheat.kernel import (
     scaling_window,
     verify_holder,
 )
+from fractalheat.measure import BaseSM, realize
+from fractalheat.paramint import HFunction, eval_eta, sigma_preset
 
 
 _KERNEL_LVL2 = []
@@ -32,6 +36,17 @@ def _module_kernel():
         _KERNEL_LVL2.append(HeatKernel(build_generator(
             vertex_set(build_preset("vicsek"), 2))))
     return _KERNEL_LVL2[0]
+
+
+def _cycle_generator(n):
+    """Generator of the uniform walk on an n-cycle, with no vertex set."""
+    P = np.zeros((n, n))
+    idx = np.arange(n)
+    P[idx, (idx + 1) % n] = 0.5
+    P[idx, (idx - 1) % n] = 0.5
+    rate = 2.0 * n * n
+    return K.GeneratorMatrix(None, rate * (P - np.eye(n)), rate, "reflecting",
+                             np.arange(n), np.full(n, 1.0 / n), 0.0)
 
 
 class TestGenerator:
@@ -65,6 +80,27 @@ class TestGenerator:
             with pytest.raises(KernelSizeError, match="V = 16 .* limited to 15"):
                 build_generator(vs, boundary=boundary)
         assert issubclass(KernelSizeError, KernelError)
+
+    @pytest.mark.parametrize("name,level", [("vicsek", 2), ("vicsek", 3),
+                                            ("gasket", 3), ("gasket", 5)])
+    @pytest.mark.parametrize("boundary", ["reflecting", "dirichlet"])
+    def test_matrix_and_gap_match_dense_construction(self, vs_cache, name,
+                                                     level, boundary):
+        # the generator is assembled from the edge list; the dense adjacency
+        # construction and its W - W^T gap give the same bits
+        vs = vs_cache(name, level)
+        gen = build_generator(vs, boundary=boundary)
+        V = vs.n_vertices
+        A = np.zeros((V, V))
+        A[vs.edges[:, 0], vs.edges[:, 1]] = 1.0
+        A[vs.edges[:, 1], vs.edges[:, 0]] = 1.0
+        L = gen.rate * (A / A.sum(axis=1)[:, None])
+        np.fill_diagonal(L, -gen.rate)
+        L = L[np.ix_(gen.kept, gen.kept)]
+        assert np.array_equal(gen.matrix, L)
+        W = gen.weights[:, None] * L
+        gap = float(np.max(np.abs(W - W.T)) / max(np.max(np.abs(W)), 1e-300))
+        assert gen.detailed_balance_gap == gap
 
     def test_dirichlet_dimension(self, vs_cache):
         vs = vs_cache("vicsek", 2)
@@ -193,13 +229,8 @@ class TestSpectralDimension:
     def test_uniform_cycle_control(self):
         # Euclidean control: a 200-cycle diffusion has d_s = 1
         n = 200
-        P = np.zeros((n, n))
-        idx = np.arange(n)
-        P[idx, (idx + 1) % n] = 0.5
-        P[idx, (idx - 1) % n] = 0.5
-        rate = 2.0 * n * n
-        gen = K.GeneratorMatrix(None, rate * (P - np.eye(n)), rate, "reflecting",
-                                np.arange(n), np.full(n, 1.0 / n), 0.0)
+        gen = _cycle_generator(n)
+        rate = gen.rate
         kern = HeatKernel(gen)
         ts = np.geomspace(10 / rate, 0.02, 40)
         tab = HeatKernelTable(kern, ts, kern.diag_density(ts), None)
@@ -388,6 +419,146 @@ def test_log_time_grid_density():
     g = log_time_grid(1e-3, 1.0, 20)
     assert len(g) == 61
     assert np.allclose(np.diff(np.log10(g)), np.diff(np.log10(g))[0])
+
+
+def _plain_eigh(gen):
+    """Plain eigh of the dense symmetrized S: (S, lam, B)."""
+    sm = np.sqrt(gen.weights)
+    S = (sm[:, None] * gen.matrix) / sm[None, :]
+    S = 0.5 * (S + S.T)
+    lam, U = scipy.linalg.eigh(S, driver="evd")
+    return S, lam, U / sm[:, None]
+
+
+def _one_block_kernel(gen, monkeypatch):
+    """The kernel with the reflection group forced trivial: one block, the
+    plain eigh of S (test_trivial_group_is_plain_eigh)."""
+    with monkeypatch.context() as m:
+        m.setattr(K, "_reflection_group",
+                  lambda gen, i, j: np.arange(len(gen.weights))[None, :])
+        return HeatKernel(gen)
+
+
+_BLOCK_CASES = [("vicsek", 2, 0), ("vicsek", 3, 0), ("vicsek", 2, 1),
+                ("gasket", 3, 0), ("gasket", 4, 0), ("gasket", 5, 0),
+                ("gasket", 4, 1)]
+
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize("name,level,blowup", _BLOCK_CASES)
+    @pytest.mark.parametrize("boundary", ["reflecting", "dirichlet"])
+    def test_blocks_factor_s(self, kernel_cache, name, level, blowup, boundary):
+        kern = kernel_cache(name, level, blowup, boundary)
+        S, lam, _ = _plain_eigh(kern.gen)
+        V = kern.n_vertices
+        # Z2 x Z2 on Vicsek (four blocks of equal size), Z2 on the gasket
+        if name == "vicsek":
+            assert kern.block_sizes == (V // 4,) * 4
+        else:
+            assert len(kern.block_sizes) == 2
+        assert sum(kern.block_sizes) == V
+        assert (np.abs(np.sort(kern.eigenvalues) - lam).max()
+                <= 1e-12 * np.abs(lam).max())
+        U = kern.B * np.sqrt(kern.weights)[:, None]
+        eps = np.finfo(float).eps
+        assert (np.linalg.norm(S @ U - U * kern.eigenvalues)
+                <= V * eps * np.linalg.norm(S))
+        assert np.abs(U.T @ U - np.eye(V)).max() <= V * eps
+
+    @pytest.mark.parametrize("name,level,blowup", _BLOCK_CASES)
+    @pytest.mark.parametrize("boundary", ["reflecting", "dirichlet"])
+    def test_operators_match_one_block(self, kernel_cache, monkeypatch, name,
+                                       level, blowup, boundary):
+        kern = kernel_cache(name, level, blowup, boundary)
+        ref = _one_block_kernel(kern.gen, monkeypatch)
+        V = kern.n_vertices
+
+        def close(a, b):
+            return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+        ids = [0, V // 3, V - 1]
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=V)
+        for t in (1e-3, 0.05, 0.4):
+            assert close(kern.density_rows(t, ids, clip=False),
+                         ref.density_rows(t, ids, clip=False))
+            assert close(kern.apply(t, v), ref.apply(t, v))
+        grid = np.array([0.0, 0.05, 0.3, 0.31, 0.7])
+        fields = rng.normal(size=(V, 2))
+        modes = rng.normal(size=(2, V))
+
+        def per_node(s):
+            return np.sin(s)[:, None, None] * fields[None]
+
+        def separable(s):
+            return np.cos(np.outer(s, [1.0, 3.0])) @ modes
+
+        assert close(kern.duhamel(grid, per_node), ref.duhamel(grid, per_node))
+        assert close(kern.duhamel(grid, separable, ids=ids, fields=fields),
+                     ref.duhamel(grid, separable, ids=ids, fields=fields))
+        model = kern.model
+        real = realize(BaseSM("gaussian_white", seed=2), model, M=blowup,
+                       n_max=level + 1)
+        sigma = sigma_preset("smooth", model)
+        got, want = (eval_eta(HFunction(k, sigma, strict=False), real,
+                              [0.25, 1.0], level + 1).partial for k in (kern, ref))
+        assert close(got, want)
+
+    def test_trivial_group_is_plain_eigh(self, generator_cache, monkeypatch):
+        # one block is S itself, bit for bit
+        gen = generator_cache("vicsek", 2)
+        _, lam, B = _plain_eigh(gen)
+        ref = _one_block_kernel(gen, monkeypatch)
+        assert ref.block_sizes == (gen.matrix.shape[0],)
+        assert np.array_equal(ref.eigenvalues, lam)
+        assert np.array_equal(ref.B, B)
+
+    @pytest.mark.parametrize("make", [
+        lambda: _cycle_generator(200),
+        lambda: build_generator(vertex_set(model_from_ifs(
+            "scalene", 2.0, [[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]],
+            math.log(9) / math.log(5)), 3)),
+    ], ids=["cycle-without-vertex-set", "scalene-triangle"])
+    def test_no_verified_symmetry_is_plain_eigh(self, make):
+        gen = make()
+        kern = HeatKernel(gen)
+        _, lam, B = _plain_eigh(gen)
+        assert kern.block_sizes == (gen.matrix.shape[0],)
+        assert np.array_equal(kern.eigenvalues, lam)
+        assert np.array_equal(kern.B, B)
+
+    def test_broken_reflections_are_dropped(self, generator_cache):
+        # a reflection survives a changed weight only if it fixes the vertex:
+        # on the main diagonal that leaves the reflection in it, off every
+        # symmetry line the trivial group
+        gen = generator_cache("vicsek", 2)
+        x, y = gen.points.T
+        lines = np.isclose(x, 0.5) | np.isclose(y, 0.5) | np.isclose(x, 1.0 - y)
+        main = int(np.flatnonzero(np.isclose(x, y) & ~lines)[0])
+        generic = int(np.flatnonzero(~lines & ~np.isclose(x, y))[0])
+        i, j = np.nonzero(gen.matrix)
+        assert len(K._reflection_group(gen, i, j)) == 4
+        for changed, n_blocks in ((main, 2), (generic, 1)):
+            weights = gen.weights.copy()
+            weights[changed] *= 1.0 + 1e-15
+            broken = dataclasses.replace(gen, weights=weights)
+            group = K._reflection_group(broken, i, j)
+            assert len(group) == n_blocks
+            assert (group[:, changed] == changed).all()
+            kern = HeatKernel(broken)
+            assert len(kern.block_sizes) == n_blocks
+            assert sum(kern.block_sizes) == len(weights)
+        # a changed generator entry breaks them the same way
+        matrix = gen.matrix.copy()
+        matrix[main, matrix[main] > 0] *= 1.0 + 1e-15
+        group = K._reflection_group(dataclasses.replace(gen, matrix=matrix), i, j)
+        assert len(group) == 2 and (group[:, main] == main).all()
+
+    def test_block_sizes_read_only(self, kernel_cache):
+        kern = kernel_cache("gasket", 3)
+        assert isinstance(kern.block_sizes, tuple)
+        with pytest.raises(AttributeError):
+            kern.block_sizes = (42,)
 
 
 class TestSpectralSeam:
