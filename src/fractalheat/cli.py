@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import os
 import sys
 from datetime import datetime, timezone
 
-from .kernel import KernelSizeError
+from .kernel import KernelSizeError, log_time_grid
+from .paramint import ParamIntegralError
+from .solver import SolverError
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -31,11 +34,22 @@ class ValidationError(ValueError):
     pass
 
 
+def _validated(parse):
+    """An option parser whose failure on its text, a malformed value or an
+    unknown preset, is a validation error (exit 2)."""
+    @functools.wraps(parse)
+    def checked(text, *args):
+        try:
+            return parse(text, *args)
+        except (ValueError, SolverError, ParamIntegralError) as exc:
+            raise ValidationError(f"bad value {text!r}: {exc}") from None
+    return checked
+
+
+@_validated
 def parse_times(text: str):
     """Time grid syntax: 'a:b:logN' (N points per decade), 'a:b:linN', or a
     single positive number."""
-    import math
-
     import numpy as np
     parts = text.split(":")
     if len(parts) == 1:
@@ -50,9 +64,7 @@ def parse_times(text: str):
         raise ValidationError("time grid needs 0 < a < b")
     mode = parts[2]
     if mode.startswith("log"):
-        per_decade = int(mode[3:] or "20")
-        n = max(2, int(round(math.log10(b / a) * per_decade)) + 1)
-        return np.geomspace(a, b, n)
+        return log_time_grid(a, b, int(mode[3:] or "20"))
     if mode.startswith("lin"):
         return np.linspace(a, b, max(2, int(mode[3:] or "16")))
     raise ValidationError(f"bad grid mode {mode!r}")
@@ -68,21 +80,23 @@ def _resolve_model(name: str):
                           "and not an IFS file path")
 
 
+@_validated
 def _parse_sigma(text: str, model, T: float):
     from .paramint import sigma_preset
     name = text.split(":", 1)[1] if text.startswith("preset:") else text
     return sigma_preset(name, model, T)
 
 
+@_validated
 def _parse_f(text: str, T: float):
     from .solver import f_preset
-    if ":" in text:
-        name, arg = text.split(":", 1)
-        return f_preset(name, c=float(arg), T=T) if name in ("sin", "const") \
-            else f_preset(name, T=T)
-    return f_preset(text, T=T)
+    name, colon, arg = text.partition(":")
+    if colon and name in ("sin", "const"):
+        return f_preset(name, c=float(arg), T=T)
+    return f_preset(name, T=T)
 
 
+@_validated
 def _parse_u0(text: str, model, blowup: int):
     from .solver import u0_preset
     parts = text.split(":")
@@ -94,12 +108,10 @@ def _parse_u0(text: str, model, blowup: int):
     return u0_preset(name)
 
 
+@_validated
 def _parse_base(text: str, seed: int):
     from .measure import BaseSM
-    if ":" in text:
-        kind, arg = text.split(":", 1)
-    else:
-        kind, arg = text, None
+    kind, _, arg = text.partition(":")
     if kind in ("gaussian", "gaussian_white"):
         return BaseSM("gaussian_white", seed=seed)
     if kind in ("stable", "symmetric_stable"):
@@ -114,19 +126,16 @@ def _parse_base(text: str, seed: int):
     raise ValidationError(f"unknown base measure {text!r}")
 
 
-# flags shared by the compute subcommands; None defaults so the config file
-# can fill unset values
+# types of the shared flags; they default to None so the config file can fill them
 _COMMON = {
-    "model": ("vicsek", str), "level": (3, int), "blowup": (0, int),
-    "depth": (5, int), "seed": (0, int), "boundary": ("reflecting", str),
-    "out": (None, str), "base": ("gaussian", str),
+    "model": str, "level": int, "blowup": int, "depth": int, "seed": int,
+    "boundary": str, "out": str, "base": str,
 }
 
 
 def _add_common(p: argparse.ArgumentParser, keys):
     for key in keys:
-        default, typ = _COMMON[key]
-        p.add_argument(f"--{key.replace('_', '-')}", type=typ, default=None)
+        p.add_argument(f"--{key.replace('_', '-')}", type=_COMMON[key], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,17 +330,17 @@ def cmd_eta(cfg: dict) -> list[str]:
     from .paramint import HFunction, eval_eta
     model = _resolve_model(cfg["model"])
     T = cfg["T"]
-    vs = vertex_set(model, cfg["level"], cfg["blowup"])
-    kern = HeatKernel(build_generator(vs, boundary=cfg["boundary"]))
     sigma = _parse_sigma(cfg["sigma"], model, T)
-    hf = HFunction(kern, sigma, T=T)
     base = _parse_base(cfg["base"], cfg["seed"])
-    real = realize(base, model, cfg["blowup"], cfg["depth"])
     if cfg["times"]:
         times = parse_times(cfg["times"])
     else:
         lo, hi = scaling_window(model, cfg["level"], cfg["blowup"])
         times = np.geomspace(lo, min(hi, T), 8)
+    vs = vertex_set(model, cfg["level"], cfg["blowup"])
+    kern = HeatKernel(build_generator(vs, boundary=cfg["boundary"]))
+    hf = HFunction(kern, sigma, T=T)
+    real = realize(base, model, cfg["blowup"], cfg["depth"])
     ev = eval_eta(hf, real, times, n_max=cfg["depth"])
     out = _outdir(cfg)
     ev.to_csv(os.path.join(out, "eta.csv"))

@@ -400,10 +400,10 @@ class HeatKernel:
         """p(t, x_i, x_j) over a vector of times."""
         return self._exp_lam(times) @ (self.B[i] * self.B[j])
 
-    def apply(self, t: float, v: np.ndarray) -> np.ndarray:
-        """P(t) @ v."""
+    def apply(self, t, v: np.ndarray) -> np.ndarray:
+        """P(t) @ v for one time, (V,), or a vector of times, (K, V)."""
         g = self.B.T @ (self.weights * v)
-        return self.B @ (self._exp_lam(t) * g)
+        return (self.B @ (self._exp_lam(t) * g).T).T
 
     def invariant_gaps(self, t: float) -> dict:
         """Semigroup identities of the unclipped P(t): row-sum gap, relative
@@ -427,95 +427,85 @@ class HeatKernel:
         return float(np.max(np.abs(Ps @ Pt - Pst)))
 
     def _duhamel_steps(self, times):
-        """Per step of a sorted grid: its end time, its Gauss nodes, exp(lam h)
-        and the (V, P) weights h W(lam h), the last two cached per step length."""
+        """The (S, P) Gauss nodes of a sorted grid's S steps, and per step
+        exp(lam h) and the (V, P) weights h W(lam h), cached per step length."""
         times = np.asarray(times, dtype=float)
         if len(times) < 2 or np.any(np.diff(times) <= 0):
             raise KernelError("Duhamel time grid must be strictly increasing, "
                               "with at least one step")
         order = DUHAMEL_ORDER
         theta, _ = duhamel_rule(order)
-        for a, b in zip(times[:-1], times[1:]):
-            h = b - a
-            key = (h, order)
+        h = np.diff(times)
+        steps = []
+        for hk in h:
+            key = (hk, order)
             if key not in self._duhamel_cache:
                 if len(self._duhamel_cache) >= DUHAMEL_CACHE:
                     self._duhamel_cache.clear()
-                z = self.eigenvalues * h
+                z = self.eigenvalues * hk
                 with np.errstate(under="ignore"):
-                    self._duhamel_cache[key] = (np.exp(z), h * duhamel_weights(z, order))
-            yield (b, a + h * theta, *self._duhamel_cache[key])
+                    self._duhamel_cache[key] = (np.exp(z), hk * duhamel_weights(z, order))
+            steps.append(self._duhamel_cache[key])
+        return times[:-1, None] + h[:, None] * theta, steps
 
     def duhamel(self, times, source, ids=None, fields=None, at=None) -> np.ndarray:
         """int_{t_0}^{t_i} P(t_i - s) g(s) ds at the times t_i of a sorted grid.
 
-        source(s) is called once per step, at the DUHAMEL_ORDER Gauss nodes s
-        of that step.  Per-node form (fields None): it returns g itself, a
-        (P, V) or (P, V, C) array, and every node's g is moved into modes,
-        ghat(s_j) = B^T (m g(s_j)); the coefficients advance by
-        acc <- exp(lam h) acc + sum_j W_j(lam h) ghat(s_j), exact in the
-        eigenvalues.
+        source(s) is called once, at the P = DUHAMEL_ORDER Gauss nodes of each
+        of the S steps in grid order, and the array it returns is the rule's
+        to overwrite.  One product with B^T moves the samples into modes; each
+        step then advances acc <- exp(lam h) acc + sum_j W_j(lam h) ghat_j,
+        exact in the eigenvalues.  Per-node form (fields None): source returns
+        g itself, (S P, V) or (S P, V, C), and ghat_j = B^T (m g(s_j)).
 
         Separable form: g(s, y, c) = source(s)[y] fields[y, c], with source
-        returning (P, V) values and fields a fixed (V, C) block.  The values
-        at all nodes of the grid are sampled into one (nodes, V) array and
-        factored as coef @ Q (_factor_rows), Q with orthonormal rows; the
-        factor stops at the rounding level max(nodes, V) eps max_i |row_i|,
-        so a source of rank R in (s, y) keeps R terms and the result matches
-        the per-node form to rounding.  Only the R C columns Q_r * fields go
-        into modes, once; each step then adds sum_r (W coef_step)[:, r] Fhat_r.
+        returning (S P, V) values and fields a fixed (V, C) block.  The
+        samples are factored as coef @ Q (_factor_rows, Q with orthonormal
+        rows, cut at the rounding level max(S P, V) eps max_i |row_i|), so a
+        source of rank R in (s, y) moves only the R C columns Q_r * fields
+        into modes, a step adds them with the coefficients W coef_step, and
+        the result matches the per-node form to rounding.
 
         The result holds rows ids (default all) at the grid indices at
-        (default every grid time), shape (K, X) for a (P, V) per-node source,
-        else (K, X, C); it is zero at t_0.
+        (default every grid time), shape (K, X) for an (S P, V) per-node
+        source, else (K, X, C); it is zero at t_0.
         """
-        steps = list(self._duhamel_steps(times))
-        V = self.n_vertices
-        vector = False                  # a (P, V) per-node source: (K, X) out
+        nodes, steps = self._duhamel_steps(times)
+        P, V = nodes.shape[1], self.n_vertices
+        g = np.asarray(source(nodes.ravel()), dtype=float)
         if fields is None:
-            def forcing(i, nodes, W):
-                nonlocal vector
-                g = np.asarray(source(nodes), dtype=float)
-                vector = g.ndim == 2
-                cols = self.weights[:, None] * np.moveaxis(g, 0, 1).reshape(V, -1)
-                ghat = (self.B.T @ cols).reshape(V, len(nodes), -1)
-                return np.einsum("kj,kjc->kc", W, ghat)
+            coef = None
+            cols = np.moveaxis(g.reshape(len(g), V, -1), 0, 1)          # (V, S P, C)
         else:
-            P = DUHAMEL_ORDER
-            samples = np.empty((len(steps) * P, V))
-            for i, (_, nodes, _, _) in enumerate(steps):
-                samples[i * P:(i + 1) * P] = source(nodes)
-            coef, Q = _factor_rows(samples)
-            fields = np.asarray(fields, dtype=float)
-            cols = (self.weights[:, None] * Q.T)[:, :, None] * fields[:, None, :]
-            fhat = (self.B.T @ cols.reshape(V, -1)).reshape(cols.shape)
-
-            def forcing(i, nodes, W):
-                return np.einsum("kr,krc->kc", W @ coef[i * P:(i + 1) * P], fhat)
-        accs = [0.0]
-        for i, (_, nodes, E, W) in enumerate(steps):
-            accs.append(E[:, None] * accs[-1] + forcing(i, nodes, W))
-        accs[0] = np.zeros_like(accs[-1])
+            coef, Q = _factor_rows(g)
+            cols = Q.T[:, :, None] * np.asarray(fields, dtype=float)[:, None, :]
+        ghat = (self.B.T @ (self.weights[:, None] * cols.reshape(V, -1))
+                ).reshape(cols.shape)
+        accs = [np.zeros((V, ghat.shape[2]))]
+        for i, (E, W) in enumerate(steps):
+            span = slice(i * P, (i + 1) * P)
+            w, added = (W, ghat[:, span]) if coef is None else (W @ coef[span], ghat)
+            accs.append(E[:, None] * accs[-1] + np.einsum("kr,krc->kc", w, added))
         keep = range(len(accs)) if at is None else np.asarray(at)
         rows = self.B if ids is None else self.B[np.asarray(ids)]
         out = rows @ np.stack([accs[i] for i in keep])
-        return out[..., 0] if vector else out
+        return out[..., 0] if fields is None and g.ndim == 2 else out
 
     def duhamel_pairs(self, times, source, ids=None) -> np.ndarray:
         """Pair form of the rule of duhamel() to the last grid time t_K:
         H[x, y] = int_{t_0}^{t_K} p(t_K - s, x, y) g(s, y) ds for x in ids
         (an index or an index array; default all rows) and every y.
 
-        source(s) returns g at the Gauss nodes s of one step as a (P, V)
-        array.  In modes, G[k, y] = int exp(lam_k (t_K - s)) g(s, y) ds and
+        source(s) is called once, as in duhamel(), and returns g at all S P
+        Gauss nodes as an (S P, V) array.  In modes,
+        G[k, y] = int exp(lam_k (t_K - s)) g(s, y) ds and
         H[x, y] = sum_k B[x, k] B[y, k] G[k, y].
         """
-        t_end = float(np.asarray(times)[-1])
-        weights, values = [], []
-        for b, nodes, _, W in self._duhamel_steps(times):
-            weights.append(self._exp_lam(t_end - b)[:, None] * W)
-            values.append(np.asarray(source(nodes), dtype=float))
-        G = np.hstack(weights) @ np.concatenate(values)            # (V, V)
+        times = np.asarray(times, dtype=float)
+        nodes, steps = self._duhamel_steps(times)
+        decay = self._exp_lam(times[-1] - times[1:])                  # (S, V)
+        weights = np.hstack([d[:, None] * W for d, (_, W) in zip(decay, steps)])
+        G = weights @ np.asarray(source(nodes.ravel()), dtype=float)   # (V, V)
         rows = self.B if ids is None else self.B[np.asarray(ids)]
         return rows @ (self.B.T * G)
 
@@ -692,6 +682,13 @@ def _kept_pairs(gen: GeneratorMatrix, pairs) -> np.ndarray:
     return mapped[(mapped >= 0).all(axis=1)]
 
 
+def _window_times(table: HeatKernelTable, model: FractalModel, n: int) -> np.ndarray:
+    """Up to n table times inside the scaling window, evenly spread by index."""
+    lo, hi = scaling_window(model, table.level, table.kernel.gen.vs.blowup)
+    inside = table.times[(table.times >= lo) & (table.times <= hi)]
+    return inside[np.linspace(0, len(inside) - 1, min(n, len(inside))).astype(int)]
+
+
 @dataclass
 class HolderFit:
     exponent: float
@@ -713,9 +710,7 @@ def verify_holder(table: HeatKernelTable, model: FractalModel | None = None,
         raise KernelError("need level >= 2 for pair scales")
     rng = np.random.default_rng(seed)
     if times is None:
-        lo, hi = scaling_window(model, table.level, table.kernel.gen.vs.blowup)
-        inside = table.times[(table.times >= lo) & (table.times <= hi)]
-        times = inside[np.linspace(0, len(inside) - 1, min(4, len(inside))).astype(int)]
+        times = _window_times(table, model, 4)
     pairs = _multiscale_pairs(vs, rng, pairs_per_scale)
     if not pairs:
         raise KernelError("no usable vertex pairs")
@@ -781,9 +776,7 @@ def fit_subgaussian(table: HeatKernelTable, model: FractalModel | None = None,
     kern = table.kernel
     rng = np.random.default_rng(seed)
     if times is None:
-        lo, hi = scaling_window(model, table.level, table.kernel.gen.vs.blowup)
-        inside = table.times[(table.times >= lo) & (table.times <= hi)]
-        times = inside[np.linspace(0, len(inside) - 1, min(5, len(inside))).astype(int)]
+        times = _window_times(table, model, 5)
     if holder is None:
         holder = verify_holder(table, model, seed=seed)
     xs = rng.choice(np.arange(kern.n_vertices), size=min(x_sample, kern.n_vertices),

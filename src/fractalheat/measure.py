@@ -69,6 +69,8 @@ class BaseSM:
         if self.kind == "atomic_series" and not self.atoms:
             raise MeasureError("atomic_series needs at least one atom")
         object.__setattr__(self, "atoms", tuple((float(x), float(c)) for x, c in self.atoms))
+        if not all(0 < x <= 1 for x, _ in self.atoms):
+            raise MeasureError("atom positions must lie in (0, 1]")
 
     @property
     def atomless(self) -> bool:
@@ -108,8 +110,6 @@ def _atom_level_masses(base: BaseSM, signs: np.ndarray, N: int, depth: int) -> n
     masses = np.zeros(N ** depth)
     scale = N ** depth
     for (x, c), s in zip(base.atoms, signs):
-        if not 0 < x <= 1:
-            raise MeasureError("atom positions must lie in (0, 1]")
         k = int(math.ceil(x * scale))  # (a, b] semantics
         masses[k - 1] += s * c
     return masses

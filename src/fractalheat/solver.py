@@ -7,11 +7,12 @@ The fixed-point map is
             + eta(t, x),
 
 where eta is the frozen stochastic parameter integral (it does not depend on u,
-so it is computed once per run).  The time integral of the nonlinear term runs
-through the kernel's Duhamel rule: u is linear in time between grid rows, f is
-sampled at the Gauss nodes of each grid step, and exp(lam (t - s)) is
-integrated exactly in every eigenvalue.  The three terms are computed as fields
-on the whole grid, never point by point.  picard_solve starts from u = 0;
+so it is computed once per run).  The three terms are fields on the whole grid,
+each one kernel call: P_t u0 is one apply on the grid's time vector, and the
+nonlinear term and eta are one Duhamel sweep each.  In the nonlinear sweep u is
+linear in time between grid rows, f is sampled at the Gauss nodes of every
+grid step in one source call, and exp(lam (t - s)) is integrated exactly in
+every eigenvalue.  picard_solve starts from u = 0;
 successive differences g_n(t) = sup_x |u^(n+1) - u^(n)|(t) contract factorially
 in K_f t and the run stops on their sup or after max_iter sweeps.
 uniqueness_check runs the same sweeps from a second start, det + offset, with
@@ -262,11 +263,7 @@ def assumption_gate(prob: PreparedProblem) -> GateReport:
 
 def _det_field(prob: PreparedProblem) -> np.ndarray:
     """Deterministic term on the full grid; row 0 is u0 itself."""
-    out = np.empty((len(prob.times), len(prob.points)))
-    out[0] = prob.u0_values
-    for i, t in enumerate(prob.times[1:], start=1):
-        out[i] = prob.kernel.apply(float(t), prob.u0_values)
-    return out
+    return np.vstack([prob.u0_values, prob.kernel.apply(prob.times[1:], prob.u0_values)])
 
 
 def _stoch_field(prob: PreparedProblem) -> np.ndarray:

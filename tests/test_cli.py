@@ -31,6 +31,7 @@ class TestParseTimes:
         g = parse_times("0.01:0.5:log20")
         assert g[0] == pytest.approx(0.01) and g[-1] == pytest.approx(0.5)
         assert len(g) == 35   # 1.7 decades at 20 points per decade, inclusive
+        assert np.array_equal(g, np.geomspace(0.01, 0.5, 35))
 
     def test_lin_grid(self):
         g = parse_times("0.1:0.2:lin5")
@@ -79,6 +80,27 @@ class TestExitCodes:
         out = tmp_path / "out"
         rc = main(["--config", str(cfg), "kernel", "--level", "1",
                    "--times", "0.1", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--times", "abc"], ["kernel", "--times", "0.1:1:linX"],
+        ["solve", "--f", "bogus"], ["solve", "--f", "sin:abc"],
+        ["solve", "--sigma", "bogus"], ["solve", "--u0", "bogus"],
+        ["solve", "--base", "stable:abc"], ["solve", "--base", "stable:2.5"],
+        ["solve", "--base", "atomic:0.5"], ["solve", "--base", "atomic:2=1"],
+        ["eta", "--sigma", "bogus"], ["eta", "--times", "abc"],
+    ], ids=" ".join)
+    def test_bad_option_value_refused(self, tmp_path, monkeypatch, argv):
+        # refused while parsing, before any vertex set is built
+        import fractalheat.geometry as geometry
+
+        def no_vertex_set(*args, **kwargs):
+            raise AssertionError("vertex set built before the options parsed")
+
+        monkeypatch.setattr(geometry, "vertex_set", no_vertex_set)
+        out = tmp_path / "out"
+        rc = main([*argv, "--level", "1", "--out", str(out)])
         assert rc == EXIT_VALIDATION
         assert not out.exists()
 

@@ -154,10 +154,23 @@ class TestSemigroup:
         lambda k, t: k.density(t),
         lambda k, t: k.density_rows(t, [0, 3]),
         lambda k, t: k.apply(t, np.ones(k.n_vertices)),
-    ], ids=["density", "density_rows", "apply"])
+        lambda k, t: k.apply([0.1, t], np.ones(k.n_vertices)),
+    ], ids=["density", "density_rows", "apply", "apply-times"])
     def test_negative_time_rejected(self, kernel_cache, call):
         with pytest.raises(KernelError, match="negative time"):
             call(kernel_cache("vicsek", 2), -1.0)
+
+    @pytest.mark.parametrize("name,level", [("vicsek", 3), ("gasket", 4)])
+    @pytest.mark.parametrize("boundary", ["reflecting", "dirichlet"])
+    def test_apply_on_time_vector(self, kernel_cache, name, level, boundary):
+        # one call on a vector of times is the per-time apply, row by row
+        kern = kernel_cache(name, level, 0, boundary)
+        v = np.random.default_rng(4).normal(size=kern.n_vertices)
+        times = np.array([0.0, 1e-3, 0.05, 0.4, 2.0])
+        got = kern.apply(times, v)
+        want = np.stack([kern.apply(float(t), v) for t in times])
+        assert got.shape == (len(times), kern.n_vertices)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_dirichlet_mass_monotone_loss(self, vs_cache):
         kern = HeatKernel(build_generator(vs_cache("vicsek", 2), boundary="dirichlet"))
@@ -284,6 +297,22 @@ class TestHolder:
         assert fit.n_pairs == used
 
 
+def _recorded(source):
+    """source, and the list of the node arrays it is called with."""
+    calls = []
+
+    def wrapped(s):
+        calls.append(np.array(s))
+        return source(s)
+    return wrapped, calls
+
+
+def _grid_nodes(grid):
+    """The Gauss nodes of every step of a grid, in grid order."""
+    theta, _ = duhamel_rule(K.DUHAMEL_ORDER)
+    return np.concatenate([a + (b - a) * theta for a, b in zip(grid[:-1], grid[1:])])
+
+
 class TestDuhamel:
     @pytest.mark.parametrize("z", [0.0, 1e-10, -1e-10, -1e-3, -1.0, -50.0, -1e4])
     @pytest.mark.parametrize("order", [K.DUHAMEL_ORDER, 12])
@@ -335,11 +364,16 @@ class TestDuhamel:
             return np.cos(np.outer(s, [1.0, 2.0, 3.0])) @ coef
 
         grid = np.array([0.0, 0.05, 0.3, 0.31])
-        full = kern.duhamel(grid, source)
+        counted, calls = _recorded(source)
+        full = kern.duhamel(grid, counted)
         assert np.allclose(kern.duhamel(grid, source, ids=[4, 9]), full[:, [4, 9]],
                            rtol=0, atol=1e-15)
         # summed against the vertex weights, the pair form is the last row
-        pairs = kern.duhamel_pairs(grid, source)
+        pairs = kern.duhamel_pairs(grid, counted)
+        # each form samples the source once, at every node of the grid
+        assert len(calls) == 2
+        for nodes in calls:
+            assert np.array_equal(nodes, _grid_nodes(grid))
         assert np.abs(pairs @ kern.weights - full[-1]).max() < 1e-13
         scale = np.abs(pairs).max()
         sub = kern.duhamel_pairs(grid, source, ids=[4, 9])
@@ -359,9 +393,14 @@ class TestDuhamel:
             return np.stack([np.ones_like(s), np.sin(3.0 * s)], axis=1) @ modes
 
         grid = np.array([0.0, 0.05, 0.3, 0.31, 0.7])
-        ref = kern.duhamel(grid, lambda s: values(s)[:, :, None] * fields[None])
+        per_node, per_node_calls = _recorded(lambda s: values(s)[:, :, None] * fields[None])
+        ref = kern.duhamel(grid, per_node)
         at = [4, 1, 1]
-        got = kern.duhamel(grid, values, ids=[4, 9], fields=fields, at=at)
+        separable, separable_calls = _recorded(values)
+        got = kern.duhamel(grid, separable, ids=[4, 9], fields=fields, at=at)
+        for calls in (per_node_calls, separable_calls):
+            assert len(calls) == 1
+            assert np.array_equal(calls[0], _grid_nodes(grid))
         assert got.shape == (3, 2, 3)
         assert np.abs(got - ref[at][:, [4, 9]]).max() < 1e-14 * np.abs(ref).max()
 

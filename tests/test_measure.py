@@ -160,6 +160,12 @@ class TestAtomicBase:
         with pytest.raises(MeasureError):
             BaseSM("atomic_series")
 
+    @pytest.mark.parametrize("x", [0.0, 1.5])
+    def test_atom_outside_unit_interval_refused(self, x):
+        # refused when the descriptor is made, not when it is realized
+        with pytest.raises(MeasureError, match="atom positions"):
+            BaseSM("atomic_series", atoms=((0.5, 1.0), (x, 1.0)))
+
 
 class TestIntegrate:
     def test_constant_one_telescopes(self, vicsek):
