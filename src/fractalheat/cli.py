@@ -337,6 +337,8 @@ def cmd_eta(cfg: dict) -> list[str]:
     else:
         lo, hi = scaling_window(model, cfg["level"], cfg["blowup"])
         times = np.geomspace(lo, min(hi, T), 8)
+    if times.max() > T:
+        raise ValidationError(f"times reach {times.max():g}, beyond the horizon T = {T:g}")
     vs = vertex_set(model, cfg["level"], cfg["blowup"])
     kern = HeatKernel(build_generator(vs, boundary=cfg["boundary"]))
     hf = HFunction(kern, sigma, T=T)

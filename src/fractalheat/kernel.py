@@ -627,10 +627,10 @@ def estimate_spectral_dimension(table: HeatKernelTable, window=None,
     relaxation time 1/|lambda_1| (measured from the spectrum), where the
     reflecting semigroup starts flattening toward its stationary floor.
     """
+    gen = table.kernel.gen
     if window is None:
         if table.model is None:
             raise KernelError("window required when the table has no model")
-        gen = table.kernel.gen
         lo, hi = scaling_window(table.model, table.level, gen.vs.blowup)
         if table.kernel.n_vertices > 1:
             gap = -np.sort(table.kernel.eigenvalues)[-2]
@@ -644,9 +644,8 @@ def estimate_spectral_dimension(table: HeatKernelTable, window=None,
     ts = table.times[mask]
     diag = table.diag[mask]
     if interior is None:
-        drop = table.kernel.gen.vs.boundary_ids() if table.kernel.gen.boundary == "reflecting" else []
-        kept_pos = {v: i for i, v in enumerate(table.kernel.gen.kept)}
-        drop = [kept_pos[v] for v in drop if v in kept_pos]
+        # reflecting kernels keep every vertex; Dirichlet ones kept no boundary
+        drop = gen.vs.boundary_ids() if gen.boundary == "reflecting" else []
         interior = np.setdiff1d(np.arange(table.kernel.n_vertices), drop)
     logt = np.log(ts)
     logp = np.log(np.maximum(diag[:, interior], 1e-300))

@@ -5,7 +5,7 @@ integral runs through the kernel's Duhamel rule (HeatKernel.duhamel): on each
 step of a grid from 0, refined so no step exceeds ETA_MAX_STEP * T, sigma is
 interpolated at Gauss nodes and the semigroup factor exp(lam (t - s)) is
 integrated exactly in every eigenvalue.  eval_eta hands sigma to the rule's
-separable form: sigma is sampled once per Gauss node, and every level's
+separable form: sigma is called once with every Gauss node, and every level's
 source sigma(s, y) agg_n(y) enters the eigenbasis once per factor of those
 samples (one for every shipped preset), not once per node.
 
@@ -59,18 +59,19 @@ class ParamIntegralError(RuntimeError):
 @dataclass(frozen=True)
 class SigmaFunction:
     """Forcing amplitude sigma(s, y): bounded by c_bound, Hoelder in y with
-    constant holder_const and exponent holder_exp."""
+    constant holder_const and exponent holder_exp.  fn returns a fresh array
+    on every call: the Duhamel rule overwrites it."""
 
-    fn: object                 # (s, (K, d) points) -> (K,) values
+    fn: object                 # ((S,) times, (K, d) points) -> (S, K) values
     c_bound: float
     holder_const: float
     holder_exp: float
     name: str = "custom"
 
-    def __call__(self, s: float, pts: np.ndarray) -> np.ndarray:
+    def __call__(self, s, pts: np.ndarray) -> np.ndarray:
         out = np.asarray(self.fn(s, pts), dtype=float)
-        if out.shape != (len(pts),):
-            raise ParamIntegralError("sigma must map (K, d) points to (K,) values")
+        if np.ndim(s) != 1 or out.shape != (np.size(s), len(pts)):
+            raise ParamIntegralError("sigma must map S times and K points to (S, K) values")
         return out
 
 
@@ -86,9 +87,9 @@ def sigma_preset(name: str, model: FractalModel | None = None, T: float = 1.0,
                 Vicsek preset; for gate tests).
     """
     if name == "constant":
-        return SigmaFunction(lambda s, pts: np.ones(len(pts)), 1.0, 0.0, 1.0, name)
+        return SigmaFunction(lambda s, pts: np.ones((len(s), len(pts))), 1.0, 0.0, 1.0, name)
     if name == "time_linear":
-        return SigmaFunction(lambda s, pts: np.full(len(pts), float(s)), T, 0.0, 1.0, name)
+        return SigmaFunction(lambda s, pts: np.outer(s, np.ones(len(pts))), T, 0.0, 1.0, name)
     if name == "smooth":
         if center is None:
             center = (np.array([0.5, 0.5]) if model is None
@@ -97,7 +98,7 @@ def sigma_preset(name: str, model: FractalModel | None = None, T: float = 1.0,
 
         def fn(s, pts, _c=c, _T=T):
             rad2 = np.sum((pts - _c) ** 2, axis=1)
-            return (0.6 + 0.4 * math.cos(math.pi * s / _T)) * (0.4 + 0.6 * np.exp(-2.0 * rad2))
+            return np.outer(0.6 + 0.4 * np.cos(np.pi * s / _T), 0.4 + 0.6 * np.exp(-2.0 * rad2))
         # |d/dy 0.6 exp(-2 r^2)| <= 2.4 r exp(-2 r^2) <= 2.4 /(2 sqrt(e)) = 0.728
         return SigmaFunction(fn, 1.0, 0.73, 1.0, name)
     if name == "rough_half":
@@ -108,7 +109,7 @@ def sigma_preset(name: str, model: FractalModel | None = None, T: float = 1.0,
 
         def fn(s, pts, _c=c):
             r = np.linalg.norm(pts - _c, axis=1)
-            return 0.5 + 0.5 * np.sqrt(r)
+            return np.outer(np.ones(len(s)), 0.5 + 0.5 * np.sqrt(r))
         return SigmaFunction(fn, 1.5, 0.5, 0.5, name)
     raise ParamIntegralError(f"unknown sigma preset {name!r}")
 
@@ -193,7 +194,7 @@ def eval_h(hf: HFunction, t: float, x_id: int, y_id: int,
     def run(rule):
         taus, wts = rule
         pv = kern.pair_density(taus, x_id, y_id)
-        sv = np.array([hf.sigma(t - tau, hf.points[y_id:y_id + 1])[0] for tau in taus])
+        sv = hf.sigma(t - taus, hf.points[y_id:y_id + 1])[:, 0]
         return float(np.dot(wts, pv * sv))
 
     val = run(quad_nodes(t))
@@ -233,9 +234,7 @@ def h_row(hf: HFunction, t: float, x_id: int) -> np.ndarray:
 def _h_pairs(hf: HFunction, t: float, ids) -> np.ndarray:
     """Rows ids of h((t, .), .) by the pair form of the kernel's Duhamel rule."""
     grid, _ = _duhamel_grid(hf, [t])
-    pts = hf.points
-    return hf.kernel.duhamel_pairs(
-        grid, lambda nodes: np.stack([hf.sigma(s, pts) for s in nodes]), ids)
+    return hf.kernel.duhamel_pairs(grid, lambda nodes: hf.sigma(nodes, hf.points), ids)
 
 
 @dataclass
@@ -294,7 +293,7 @@ def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
     vertices; one Duhamel sweep over the grid then carries the sources
     sigma(s, .) * agg_n of all levels at once, so no V x V matrix is formed.
     The sweep uses the kernel's separable form with fields agg_n / m: sigma
-    is called once per Gauss node, the (node, vertex) samples are factored
+    is called once with every Gauss node, the (node, vertex) samples are factored
     to their numerical rank R, and R x levels columns are moved into modes
     instead of nodes x levels.  Only the grid times in z_times are moved
     back to vertices.  The result matches integrate() with g = h(z, .) up
@@ -315,13 +314,9 @@ def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
         np.add.at(agg[n], ids[kept], real.level_masses(n)[kept])
     # the operator integrates against the vertex weights, eta against mu
     per_weight = (agg / kern.weights).T                            # (V, levels)
-    pts = hf.points
-
-    def source(nodes):
-        return np.stack([hf.sigma(s, pts) for s in nodes])
-
     grid, at = _duhamel_grid(hf, times)
-    vals = kern.duhamel(grid, source, ids=rows, fields=per_weight, at=at)  # (K, X, levels)
+    vals = kern.duhamel(grid, lambda nodes: hf.sigma(nodes, hf.points), ids=rows,
+                        fields=per_weight, at=at)                  # (K, X, levels)
     x_ids = np.arange(V) if rows is None else rows
     return EtaEvaluation(times, x_ids, kern.gen.points[x_ids],
                          vals.transpose(2, 0, 1), anchor_rule)

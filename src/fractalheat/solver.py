@@ -10,9 +10,9 @@ where eta is the frozen stochastic parameter integral (it does not depend on u,
 so it is computed once per run).  The three terms are fields on the whole grid,
 each one kernel call: P_t u0 is one apply on the grid's time vector, and the
 nonlinear term and eta are one Duhamel sweep each.  In the nonlinear sweep u is
-linear in time between grid rows, f is sampled at the Gauss nodes of every
-grid step in one source call, and exp(lam (t - s)) is integrated exactly in
-every eigenvalue.  picard_solve starts from u = 0;
+linear in time between grid rows, f is called once with the Gauss nodes of
+every grid step, and exp(lam (t - s)) is integrated exactly in every
+eigenvalue.  picard_solve starts from u = 0;
 successive differences g_n(t) = sup_x |u^(n+1) - u^(n)|(t) contract factorially
 in K_f t and the run stops on their sup or after max_iter sweeps.
 uniqueness_check runs the same sweeps from a second start, det + offset, with
@@ -72,17 +72,18 @@ class AssumptionGateError(SolverError):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """f(s, y, r): bounded by c_bound, Lipschitz in (y, r) with constant lipschitz."""
+    """f(s, y, r): bounded by c_bound, Lipschitz in (y, r) with constant lipschitz.
+    fn returns a fresh array on every call: the Duhamel rule overwrites it."""
 
-    fn: object               # (s, (K,d) pts, (K,) r) -> (K,)
+    fn: object               # ((S,) s, (K,d) pts, (S,K) r[i, k] = u(s_i, y_k)) -> (S,K)
     c_bound: float
     lipschitz: float
     name: str = "custom"
 
     def __call__(self, s, pts, r):
         out = np.asarray(self.fn(s, pts, r), dtype=float)
-        if out.shape != (len(pts),):
-            raise SolverError("f must map (K, d) points to (K,) values")
+        if np.ndim(s) != 1 or out.shape != (np.size(s), len(pts)) or np.shape(r) != out.shape:
+            raise SolverError("f must map S times and an (S, K) block r to (S, K) values")
         return out
 
 
@@ -101,11 +102,12 @@ def f_preset(name: str, c: float = 0.5, T: float = 1.0) -> Nonlinearity:
     if name == "sin":
         return Nonlinearity(lambda s, pts, r: c * np.sin(r), c, c, f"sin:{c}")
     if name == "zero":
-        return Nonlinearity(lambda s, pts, r: np.zeros(len(pts)), 0.0, 0.0, "zero")
+        return Nonlinearity(lambda s, pts, r: np.zeros(np.shape(r)), 0.0, 0.0, "zero")
     if name == "const":
-        return Nonlinearity(lambda s, pts, r: np.full(len(pts), c), abs(c), 0.0, f"const:{c}")
+        return Nonlinearity(lambda s, pts, r: np.full(np.shape(r), c), abs(c), 0.0, f"const:{c}")
     if name == "time_linear":
-        return Nonlinearity(lambda s, pts, r: np.full(len(pts), float(s)), T, 0.0, "time_linear")
+        return Nonlinearity(lambda s, pts, r: np.outer(s, np.ones(len(pts))), T, 0.0,
+                            "time_linear")
     raise SolverError(f"unknown nonlinearity preset {name!r}")
 
 
@@ -218,36 +220,34 @@ def assumption_gate(prob: PreparedProblem) -> GateReport:
                     ok, f"max |u0| = {np.max(np.abs(u0v)):.4g} <= {spec.u0.c_bound}"))
     svals = rng.uniform(0, spec.T, size=64)
     rvals = rng.uniform(-3, 3, size=len(sample))
-    fmax = max(float(np.max(np.abs(spec.f(s, sample, rvals)))) for s in svals[:8])
+    fmax = float(np.max(np.abs(spec.f(svals[:8], sample, np.tile(rvals, (8, 1))))))
     entries.append(("A3 bounded nonlinearity",
                     fmax <= spec.f.c_bound * (1 + 1e-9),
                     f"max |f| = {fmax:.4g} <= C_f = {spec.f.c_bound}"))
-    lip_ok, lip_ratio = True, 0.0
-    for s in svals[:8]:
+    lip_ratio = 0.0
+    for s in svals[:8, None]:              # one-element time vectors
         i = rng.integers(0, len(sample), size=200)
         j = rng.integers(0, len(sample), size=200)
         r1 = rng.uniform(-3, 3, size=200)
         r2 = rng.uniform(-3, 3, size=200)
         den = np.linalg.norm(sample[i] - sample[j], axis=1) + np.abs(r1 - r2)
-        num = np.abs(spec.f(s, sample[i], r1) - spec.f(s, sample[j], r2))
+        num = np.abs(spec.f(s, sample[i], r1[None]) - spec.f(s, sample[j], r2[None]))[0]
         nz = den > 1e-12
-        if nz.any():
-            lip_ratio = max(lip_ratio, float(np.max(num[nz] / den[nz])))
+        lip_ratio = max(lip_ratio, float(np.max(num[nz] / den[nz], initial=0.0)))
     lip_ok = lip_ratio <= spec.f.lipschitz * (1 + 1e-6) + 1e-12
     entries.append(("A4 Lipschitz nonlinearity", lip_ok,
                     f"ratio = {lip_ratio:.4g} <= K_f = {spec.f.lipschitz}"))
-    smax = max(float(np.max(np.abs(spec.sigma(s, sample)))) for s in svals[:8])
+    smax = float(np.max(np.abs(spec.sigma(svals[:8], sample))))
     entries.append(("A5 bounded forcing", smax <= spec.sigma.c_bound * (1 + 1e-9),
                     f"max |sigma| = {smax:.4g} <= C_sigma = {spec.sigma.c_bound}"))
     hold_ratio = 0.0
-    for s in svals[:8]:
+    for s in svals[:8, None]:
         i = rng.integers(0, len(sample), size=200)
         j = rng.integers(0, len(sample), size=200)
         den = np.linalg.norm(sample[i] - sample[j], axis=1) ** spec.sigma.holder_exp
-        num = np.abs(spec.sigma(s, sample[i]) - spec.sigma(s, sample[j]))
+        num = np.abs(spec.sigma(s, sample[i]) - spec.sigma(s, sample[j]))[0]
         nz = den > 1e-12
-        if nz.any():
-            hold_ratio = max(hold_ratio, float(np.max(num[nz] / den[nz])))
+        hold_ratio = max(hold_ratio, float(np.max(num[nz] / den[nz], initial=0.0)))
     exp_ok = spec.sigma.holder_exp > model.d_f / 2
     const_ok = hold_ratio <= spec.sigma.holder_const * (1 + 1e-6) + 1e-12
     entries.append(("A6 Hoelder forcing above d_f/2", bool(exp_ok and const_ok),
@@ -285,12 +285,12 @@ def _interp_rows(times: np.ndarray, field: np.ndarray, s: np.ndarray) -> np.ndar
 def _nl_field(prob: PreparedProblem, u: np.ndarray, times=None, ids=None) -> np.ndarray:
     """Nonlinear term int_0^t P(t - s) f(s, ., u(s, .)) ds for the iterate u
     (rows on the solve grid), at the given grid times (default the solve
-    grid) and vertex rows ids (default all)."""
+    grid) and vertex rows ids (default all).  f is called once per sweep,
+    with every Gauss node of the grid and u interpolated there."""
     f, pts = prob.spec.f, prob.points
 
     def source(nodes):
-        u_s = _interp_rows(prob.times, u, nodes)
-        return np.stack([f(s, pts, u_s[q]) for q, s in enumerate(nodes)])
+        return f(nodes, pts, _interp_rows(prob.times, u, nodes))
 
     return prob.kernel.duhamel(prob.times if times is None else times, source, ids)
 

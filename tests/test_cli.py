@@ -104,6 +104,22 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["--times", "2"], ["--times", "0.5:3:lin4"],
+                                      ["--T", "0.001"]], ids=" ".join)
+    def test_eta_times_beyond_horizon_refused(self, tmp_path, monkeypatch, argv):
+        # refused before any vertex set is built; the default geomspace grid
+        # starts past a horizon T below the scaling window
+        import fractalheat.geometry as geometry
+
+        def no_vertex_set(*args, **kwargs):
+            raise AssertionError("vertex set built before the times were checked")
+
+        monkeypatch.setattr(geometry, "vertex_set", no_vertex_set)
+        out = tmp_path / "out"
+        rc = main(["eta", "--level", "1", "--depth", "2", *argv, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_bad_x_ids_flag_refused(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["kernel", "--level", "1", "--times", "0.1", "--x-ids", "0,a",

@@ -69,7 +69,7 @@ class TestQuadrature:
         assert np.isfinite(val)
 
     def test_zero_sigma(self, kernel_cache):
-        z = SigmaFunction(lambda s, pts: np.zeros(len(pts)), 0.0, 0.0, 1.0, "zero")
+        z = SigmaFunction(lambda s, pts: np.zeros((len(s), len(pts))), 0.0, 0.0, 1.0, "zero")
         hf = HFunction(kernel_cache("vicsek", 2), z, T=1.0)
         assert eval_h(hf, 0.5, 0, 3) == 0.0
 
@@ -191,6 +191,12 @@ class TestEvalEta:
         assert conv[0] == "level,sup_increment" and len(conv) == 4
 
 
+def _counted(sigma, calls):
+    """sigma recording a copy of the time vector of every call."""
+    return SigmaFunction(lambda s, pts: calls.append(s.copy()) or sigma.fn(s, pts),
+                         sigma.c_bound, sigma.holder_const, sigma.holder_exp)
+
+
 def _per_node_eta(hf, real, times, n_max, x_ids=None):
     """Reference: eval_eta's sources moved into modes one Gauss node at a
     time, through the kernel's per-node Duhamel form."""
@@ -204,7 +210,7 @@ def _per_node_eta(hf, real, times, n_max, x_ids=None):
     pts = hf.points
 
     def source(nodes):
-        return np.stack([hf.sigma(s, pts)[:, None] * per_weight for s in nodes])
+        return hf.sigma(nodes, pts)[:, :, None] * per_weight
 
     grid, at = _duhamel_grid(hf, times)
     return kern.duhamel(grid, source, ids=x_ids)[at].transpose(2, 0, 1)
@@ -212,7 +218,7 @@ def _per_node_eta(hf, real, times, n_max, x_ids=None):
 
 def _bump_sigma():
     # travels across the set with time: rank well above 1 in (s, y)
-    return SigmaFunction(lambda s, pts: np.exp(-(pts[:, 0] - s) ** 2 / 0.02),
+    return SigmaFunction(lambda s, pts: np.exp(-(pts[:, 0] - s[:, None]) ** 2 / 0.02),
                          1.0, 10.0, 1.0, "bump")
 
 
@@ -234,13 +240,12 @@ class TestSeparableEta:
             return coef, q
 
         monkeypatch.setattr(K, "_factor_rows", spy)
-        counted = SigmaFunction(lambda s, pts: calls.append(s) or sigma.fn(s, pts),
-                                sigma.c_bound, sigma.holder_const, sigma.holder_exp)
-        hf = HFunction(kern, counted, T=1.0, strict=False)
+        hf = HFunction(kern, _counted(sigma, calls), T=1.0, strict=False)
         real = realize(BaseSM("gaussian_white", seed=5), kern.model, n_max=n_max)
         got = eval_eta(hf, real, self.TIMES, n_max, x_ids=x_ids).partial
         grid, _ = _duhamel_grid(hf, self.TIMES)
-        assert len(calls) == K.DUHAMEL_ORDER * (len(grid) - 1)   # once per node
+        nodes, _ = kern._duhamel_steps(grid)
+        assert len(calls) == 1 and np.array_equal(calls[0], nodes.ravel())
         want = _per_node_eta(hf, real, self.TIMES, n_max, x_ids)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         return ranks[0], got
@@ -258,7 +263,7 @@ class TestSeparableEta:
         assert rank > 1
 
     def test_zero_sigma_is_rank_zero(self, monkeypatch, kernel_cache):
-        zero = SigmaFunction(lambda s, pts: np.zeros(len(pts)), 0.0, 0.0, 1.0)
+        zero = SigmaFunction(lambda s, pts: np.zeros((len(s), len(pts))), 0.0, 0.0, 1.0)
         rank, got = self._check(monkeypatch, kernel_cache("vicsek", 2), zero)
         assert rank == 0 and not got.any()
 
@@ -275,11 +280,61 @@ class TestSeparableEta:
     def test_non_finite_sigma_refused(self, kernel_cache):
         from fractalheat.kernel import KernelError
 
-        bad = SigmaFunction(lambda s, pts: np.full(len(pts), np.nan), 1.0, 0.0, 1.0)
+        bad = SigmaFunction(lambda s, pts: np.full((len(s), len(pts)), np.nan), 1.0, 0.0, 1.0)
         hf = HFunction(kernel_cache("vicsek", 2), bad, T=1.0, strict=False)
         real = realize(BaseSM("gaussian_white", seed=5), hf.model, n_max=2)
         with pytest.raises(KernelError):
             eval_eta(hf, real, [0.5], 2)
+
+
+class TestSigmaContract:
+    """sigma maps S times and K points to (S, K) values in one call."""
+
+    def test_h_row_calls_sigma_once(self, hf2):
+        calls = []
+        hf = HFunction(hf2.kernel, _counted(hf2.sigma, calls), T=1.0)
+        row = h_row(hf, 0.3, 5)
+        grid, _ = _duhamel_grid(hf, [0.3])
+        nodes, _ = hf.kernel._duhamel_steps(grid)
+        assert len(calls) == 1 and np.array_equal(calls[0], nodes.ravel())
+        assert np.array_equal(row, h_row(hf2, 0.3, 5))
+
+    def test_eval_h_calls_sigma_once_per_rule_run(self, hf2):
+        calls = []
+        hf = HFunction(hf2.kernel, _counted(hf2.sigma, calls), T=1.0)
+        eval_h(hf, 0.5, 1, 5)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], 0.5 - quad_nodes(0.5)[0])
+        calls.clear()
+        eval_h(hf, 0.5, 1, 5, check_tol=1e-8)
+        assert [len(s) for s in calls] == [len(quad_nodes(0.5)[0]),
+                                           len(quad_nodes(0.5, gl_order=16)[0])]
+
+    def test_eval_eta_twice_is_identical(self, hf2, vicsek):
+        # the Duhamel rule overwrites sigma's samples, so sigma must hand it
+        # a fresh array on every call
+        real = realize(BaseSM("gaussian_white", seed=3), vicsek, n_max=3)
+        first = eval_eta(hf2, real, [0.2, 0.7], n_max=3).partial
+        assert np.array_equal(eval_eta(hf2, real, [0.2, 0.7], n_max=3).partial, first)
+
+    @pytest.mark.parametrize("fn", [lambda s, pts: np.ones(len(pts)),
+                                    lambda s, pts: np.ones((len(pts), len(s)))],
+                             ids=["per-time", "transposed"])
+    def test_wrong_shape_refused(self, hf2, fn):
+        bad = SigmaFunction(fn, 1.0, 0.0, 1.0)
+        with pytest.raises(ParamIntegralError):
+            bad(np.array([0.1, 0.2, 0.3]), hf2.points)
+
+    @pytest.mark.parametrize("name", ["smooth", "constant", "time_linear", "rough_half"])
+    def test_presets_broadcast_over_time(self, hf2, vicsek, name):
+        sigma = sigma_preset(name, vicsek)
+        s = np.array([0.1, 0.4, 0.9])
+        rows = [sigma(s[i:i + 1], hf2.points)[0] for i in range(3)]
+        assert np.array_equal(sigma(s, hf2.points), np.stack(rows))
+
+    def test_scalar_time_refused(self, hf2):
+        with pytest.raises(ParamIntegralError):
+            hf2.sigma(0.1, hf2.points)
 
 
 class TestAnchorRules:
@@ -341,7 +396,7 @@ class TestHHolder:
 
 class TestPathRegularity:
     def test_zero_sigma_zero_modulus(self, kernel_cache, vicsek):
-        z = SigmaFunction(lambda s, pts: np.zeros(len(pts)), 0.0, 0.0, 1.0, "zero")
+        z = SigmaFunction(lambda s, pts: np.zeros((len(s), len(pts))), 0.0, 0.0, 1.0, "zero")
         hf = HFunction(kernel_cache("vicsek", 2), z, T=1.0)
         real = realize(BaseSM("gaussian_white", seed=2), vicsek, n_max=3)
         ev = eval_eta(hf, real, np.geomspace(0.05, 0.5, 4), n_max=3)

@@ -9,6 +9,7 @@ from fractalheat.measure import BaseSM, realize
 from fractalheat.paramint import eval_eta, h_matrix, sigma_preset
 from fractalheat.solver import (
     AssumptionGateError,
+    Nonlinearity,
     ProblemSpec,
     SolverError,
     _det_field,
@@ -149,10 +150,57 @@ class TestNonlinearTerm:
         assert np.abs(_nl_field(prob2, sol2.u) - base).max() <= 1e-9
 
 
+def _counted(f, calls):
+    """f recording a copy of the time vector of every call."""
+    return Nonlinearity(lambda s, pts, r: calls.append(s.copy()) or f.fn(s, pts, r),
+                        f.c_bound, f.lipschitz)
+
+
+class TestNonlinearityContract:
+    """f maps S times and an (S, K) block to (S, K) values in one call."""
+
+    def test_nl_field_calls_f_once_with_every_node(self, prob2, sol2, monkeypatch):
+        want = _nl_field(prob2, sol2.u)
+        calls = []
+        monkeypatch.setattr(prob2.spec, "f", _counted(prob2.spec.f, calls))
+        got = _nl_field(prob2, sol2.u)
+        nodes, _ = prob2.kernel._duhamel_steps(prob2.times)
+        assert len(calls) == 1 and np.array_equal(calls[0], nodes.ravel())
+        assert np.array_equal(got, want)
+
+    def test_one_call_per_sweep(self, vicsek):
+        calls = []
+        prob = prepare(ProblemSpec(vicsek, level=2, depth=3,
+                                   f=_counted(f_preset("sin", 0.5), calls)))
+        calls.clear()                     # the gate's spot checks
+        sol = picard_solve(prob)
+        assert len(calls) == sol.iterations
+
+    @pytest.mark.parametrize("name", ["sin", "zero", "const", "time_linear"])
+    def test_presets_broadcast_over_time(self, prob2, name):
+        f = f_preset(name, 0.5)
+        s = np.array([0.1, 0.4, 0.9])
+        r = np.random.default_rng(0).uniform(-3, 3, (3, len(prob2.points)))
+        block = f(s, prob2.points, r)
+        rows = [f(s[i:i + 1], prob2.points, r[i:i + 1])[0] for i in range(3)]
+        assert np.array_equal(block, np.stack(rows))
+
+    def test_wrong_shapes_refused(self, prob2):
+        pts = prob2.points
+        s, r = np.array([0.1, 0.2]), np.zeros((2, len(pts)))
+        with pytest.raises(SolverError):
+            prob2.spec.f(0.1, pts, r[0])
+        with pytest.raises(SolverError):
+            prob2.spec.f(s, pts, r[0])
+        per_time = Nonlinearity(lambda s, pts, r: np.zeros(len(pts)), 0.0, 0.0)
+        with pytest.raises(SolverError):
+            per_time(s, pts, r)
+
+
 class TestStochasticTerm:
     def test_zero_sigma(self, vicsek):
         from fractalheat.paramint import SigmaFunction
-        z = SigmaFunction(lambda s, pts: np.zeros(len(pts)), 0.0, 0.0, 1.0, "zero")
+        z = SigmaFunction(lambda s, pts: np.zeros((len(s), len(pts))), 0.0, 0.0, 1.0, "zero")
         prob = prepare(ProblemSpec(vicsek, level=2, depth=3, sigma=z))
         assert np.abs(picard_solve(prob).stochastic).max() == 0.0
 
