@@ -22,9 +22,9 @@ def floats(values, end: str = ",") -> list[str]:
     return [f"{v!r}{end}" for v in np.asarray(values, dtype=float).tolist()]
 
 
-def ints(values, end: str = ",") -> list[str]:
-    """Key texts ``str(int(v)) + end``."""
-    return [f"{v}{end}" for v in np.asarray(values, dtype=np.int64).tolist()]
+def ints(values) -> list[str]:
+    """Key texts ``str(int(v)) + ","``."""
+    return [f"{v}," for v in np.asarray(values, dtype=np.int64).tolist()]
 
 
 @contextmanager

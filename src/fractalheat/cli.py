@@ -5,8 +5,9 @@ resolved configuration is echoed into the output directory next to a MANIFEST
 listing sha256 checksums of every artifact (timestamps live only there, so
 repeated runs of the same configuration produce byte-identical artifacts).
 
-Exit codes: 0 success, 1 computation failure, 2 validation failure (including
-a vertex set above the dense kernel budget, refused before any artifact).
+Exit codes: 0 success, 1 computation failure, 2 validation failure, refused
+before any artifact: bad options or model files, a vertex set above the dense
+kernel budget, a failed assumption gate.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from datetime import datetime, timezone
 
 from .kernel import KernelSizeError, log_time_grid
 from .paramint import ParamIntegralError
-from .solver import SolverError
+from .solver import AssumptionGateError, SolverError
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -75,7 +76,10 @@ def _resolve_model(name: str):
     if name in PRESET_NAMES:
         return build_preset(name)
     if os.path.exists(name):
-        return load_ifs_file(name)
+        try:
+            return load_ifs_file(name)
+        except ValueError as exc:       # GeometryError, or a malformed number
+            raise ValidationError(f"bad model file {name!r}: {exc}") from None
     raise ValidationError(f"unknown model {name!r}: not a preset {PRESET_NAMES} "
                           "and not an IFS file path")
 
@@ -222,6 +226,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ValidationError(f"{key}={cfg[key]} outside {rng}")
     if cfg["T"] <= 0:
         raise ValidationError("T must be positive")
+    if cfg["command"] in ("sm", "eta", "solve") and cfg["depth"] < cfg["blowup"]:
+        raise ValidationError(f"depth={cfg['depth']} below blowup={cfg['blowup']}")
     if cfg["boundary"] not in ("reflecting", "dirichlet"):
         raise ValidationError(f"unknown boundary {cfg['boundary']!r}")
     if cfg["format"] not in ("csv", "binary"):
@@ -295,6 +301,9 @@ def cmd_kernel(cfg: dict) -> list[str]:
     V = len(gen.kept)
     if x_ids is not None and not all(0 <= x < V for x in x_ids):
         raise ValidationError(f"x_ids={x_ids} outside the kernel ids [0, {V})")
+    if cfg["format"] == "binary" and V > DENSE_TABLE_LIMIT:
+        raise ValidationError(f"V = {V} vertices is above the binary export "
+                              f"limit {DENSE_TABLE_LIMIT}")
     tab = kernel(gen, times=times)
     out = _outdir(cfg)
     files = []
@@ -331,6 +340,9 @@ def cmd_eta(cfg: dict) -> list[str]:
     model = _resolve_model(cfg["model"])
     T = cfg["T"]
     sigma = _parse_sigma(cfg["sigma"], model, T)
+    if not sigma.smooth_on(model):
+        raise ValidationError(f"sigma {sigma.name!r}: Hoelder exponent {sigma.holder_exp} "
+                              f"is not above d_f/2 = {model.d_f / 2:.4f}")
     base = _parse_base(cfg["base"], cfg["seed"])
     if cfg["times"]:
         times = parse_times(cfg["times"])
@@ -364,11 +376,6 @@ def cmd_solve(cfg: dict) -> list[str]:
         base=_parse_base(cfg["base"], cfg["seed"]),
         depth=cfg["depth"], override_gate=bool(cfg["override_gate"]))
     prob = prepare(spec)
-    if not prob.gate.passed and not spec.override_gate:
-        # refusal is a validation outcome: report and exit 2 with no artifacts
-        raise ValidationError(
-            "assumption gate failed: " + "; ".join(prob.gate.failures())
-            + "\n" + str(prob.gate))
     sol = picard_solve(prob)
     out = _outdir(cfg)
     sol.to_csv(os.path.join(out, "solution.csv"))
@@ -430,7 +437,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         files = handler(cfg)
-    except (ValidationError, KernelSizeError) as exc:
+    except (ValidationError, KernelSizeError, AssumptionGateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FailedWithArtifacts as exc:

@@ -120,15 +120,14 @@ class GeneratorMatrix:
         return pos
 
 
-def build_generator(vs: VertexSet, model: FractalModel | None = None,
-                    boundary: str = "reflecting") -> GeneratorMatrix:
+def build_generator(vs: VertexSet, boundary: str = "reflecting") -> GeneratorMatrix:
     """Uniform-jump CTRW generator with holding rate time_scale^level.
 
     For the shipped presets m(x) is proportional to deg(x), so m_x L[x,y] is
     exactly symmetric; other models get a warning gap recorded (the uniform
     conductance is then an approximation).
     """
-    model = vs.model if model is None else model
+    model = vs.model
     if boundary not in ("reflecting", "dirichlet"):
         raise KernelError(f"unknown boundary {boundary!r}")
     V = vs.n_vertices
@@ -510,12 +509,11 @@ class HeatKernel:
         return rows @ (self.B.T * G)
 
 
-def scaling_window(model: FractalModel, level: int, blowup: int = 0,
-                   low_factor: float = 10.0, high: float = 0.5) -> tuple[float, float]:
-    """Times where the level-n kernel tracks the diffusion: below the lower end
-    the walk has taken too few jumps, above the upper end the reflecting
+def scaling_window(model: FractalModel, level: int, blowup: int = 0) -> tuple[float, float]:
+    """Times where the level-n kernel tracks the diffusion: below ten mean
+    jump times the walk has taken too few jumps, above 0.5 the reflecting
     semigroup saturates toward stationarity."""
-    return (low_factor * model.time_scale ** (blowup - level), high)
+    return (10.0 * model.time_scale ** (blowup - level), 0.5)
 
 
 def log_time_grid(t_lo: float, t_hi: float, per_decade: int = 20) -> np.ndarray:
@@ -656,7 +654,7 @@ def estimate_spectral_dimension(table: HeatKernelTable, window=None,
                       (float(ts[0]), float(ts[-1])), int(mask.sum()), len(interior))
 
 
-def _multiscale_pairs(vs: VertexSet, rng, pairs_per_scale: int = 60):
+def _multiscale_pairs(vs: VertexSet, rng, pairs_per_scale: int):
     """Vertex pairs sharing a depth-j cell for every j = 1..level, giving
     |y1 - y2| support across ~level decades of alpha."""
     model, n = vs.model, vs.level
@@ -697,11 +695,11 @@ class HolderFit:
 
 
 def verify_holder(table: HeatKernelTable, model: FractalModel | None = None,
-                  times=None, x_sample: int = 24, pairs_per_scale: int = 60,
-                  seed: int = 0) -> HolderFit:
+                  times=None, seed: int = 0) -> HolderFit:
     """Fit |p(t,x,y1) - p(t,x,y2)| ~ |y1 - y2|^theta over cell-sharing pairs at
-    all depths; returns the fitted exponent (target d_w - d_f) and the largest
-    t |dp| / |dy|^{d_w - d_f} as the empirical Hoelder constant."""
+    all depths (60 per depth) from 24 sampled rows x; returns the fitted
+    exponent (target d_w - d_f) and the largest t |dp| / |dy|^{d_w - d_f} as
+    the empirical Hoelder constant."""
     model = table.model if model is None else model
     kern = table.kernel
     vs = kern.gen.vs
@@ -710,14 +708,14 @@ def verify_holder(table: HeatKernelTable, model: FractalModel | None = None,
     rng = np.random.default_rng(seed)
     if times is None:
         times = _window_times(table, model, 4)
-    pairs = _multiscale_pairs(vs, rng, pairs_per_scale)
+    pairs = _multiscale_pairs(vs, rng, 60)
     if not pairs:
         raise KernelError("no usable vertex pairs")
     pa, pb = _kept_pairs(kern.gen, pairs).T
     dist = np.linalg.norm(kern.gen.points[pa] - kern.gen.points[pb], axis=1)
     ok0 = dist > 0
     pa, pb, dist = pa[ok0], pb[ok0], dist[ok0]
-    xs = rng.choice(np.arange(kern.n_vertices), size=min(x_sample, kern.n_vertices),
+    xs = rng.choice(np.arange(kern.n_vertices), size=min(24, kern.n_vertices),
                     replace=False)
     target = model.d_w - model.d_f
     per_time, used = [], 0
@@ -764,21 +762,20 @@ class KernelBoundFit:
 
 
 def fit_subgaussian(table: HeatKernelTable, model: FractalModel | None = None,
-                    holder: HolderFit | None = None, times=None,
-                    x_sample: int = 12, seed: int = 0,
-                    p_floor: float = 1e-250) -> KernelBoundFit:
+                    holder: HolderFit | None = None, seed: int = 0) -> KernelBoundFit:
     """Nonlinear least squares for (c2, c3, d_J) in
-    log(p t^{d_s/2}) ~ log c2 - c3 (|x-y|^{d_w}/t)^{1/(d_J-1)}."""
+    log(p t^{d_s/2}) ~ log c2 - c3 (|x-y|^{d_w}/t)^{1/(d_J-1)}, over the rows
+    of 12 sampled vertices at 5 times of the scaling window, densities above
+    1e-250."""
     from scipy.optimize import least_squares
 
     model = table.model if model is None else model
     kern = table.kernel
     rng = np.random.default_rng(seed)
-    if times is None:
-        times = _window_times(table, model, 5)
+    times = _window_times(table, model, 5)
     if holder is None:
         holder = verify_holder(table, model, seed=seed)
-    xs = rng.choice(np.arange(kern.n_vertices), size=min(x_sample, kern.n_vertices),
+    xs = rng.choice(np.arange(kern.n_vertices), size=min(12, kern.n_vertices),
                     replace=False)
     pts = kern.gen.points
     ts_data, dist_data, p_data = [], [], []
@@ -786,7 +783,7 @@ def fit_subgaussian(table: HeatKernelTable, model: FractalModel | None = None,
         rows = kern.density_rows(float(t), xs)
         for xi, row in zip(xs, rows):
             dist = np.linalg.norm(pts - pts[xi], axis=1)
-            ok = (row > p_floor) & (dist > 0)
+            ok = (row > 1e-250) & (dist > 0)
             ts_data.append(np.full(ok.sum(), t))
             dist_data.append(dist[ok])
             p_data.append(row[ok])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _text
-from .geometry import CellAddress, FractalModel
+from .geometry import MAX_CELLS, CellAddress, FractalModel
 
 __all__ = [
     "BaseSM",
@@ -219,11 +219,11 @@ def default_component_weights(n_components: int) -> np.ndarray:
 
 
 def realize(base: BaseSM, model: FractalModel, M: int = 0, n_max: int = 4,
-            component_weights=None, max_cells: int = 2_000_000) -> MeasureRealization:
+            component_weights=None) -> MeasureRealization:
     """Sample a measure realization on the depth-n_max tree of alpha^M E."""
     if n_max < M:
         raise MeasureError("n_max must be at least the blowup depth")
-    if model.N ** n_max > max_cells:
+    if model.N ** n_max > MAX_CELLS:
         raise MeasureError(f"depth {n_max} needs {model.N ** n_max} cells > budget")
     n_comp = model.N ** M
     if component_weights is None:
@@ -241,15 +241,15 @@ def realize(base: BaseSM, model: FractalModel, M: int = 0, n_max: int = 4,
     return MeasureRealization(model, base, M, n_max, weights, comp_levels)
 
 
-def integrate(g, real: MeasureRealization, n: int, anchor_rule: int = 0) -> float:
+def integrate(g, real: MeasureRealization, n: int) -> float:
     """Cell sum  sum_cells g(anchor) * mass(cell)  at depth n.
 
-    The anchor is the cell image of one essential fixed point; g is called
-    vectorized on the (N^n, d) anchor array.
+    The anchor is the cell image of the first essential fixed point; g is
+    called vectorized on the (N^n, d) anchor array.
     """
     from .geometry import cell_anchors
 
-    anchors = cell_anchors(real.model, n, real.blowup, anchor_rule)
+    anchors = cell_anchors(real.model, n, real.blowup)
     values = np.asarray(g(anchors), dtype=float)
     if values.shape != (len(anchors),):
         raise MeasureError("g must map (K, d) points to (K,) values")
@@ -274,15 +274,14 @@ class LevelIndicatorFamily:
                      * np.dot(masses, masses))
 
 
-def lemma22_diagnostic(g_family, real: MeasureRealization, L: int, n: int,
-                       anchor_rule: int = 0):
+def lemma22_diagnostic(g_family, real: MeasureRealization, L: int, n: int):
     """Partial sums of the squared-integral series for an indexed family.
 
     `g_family` is either a LevelIndicatorFamily (exact path, needs L <= n_max)
     or a callable l -> g_l with g_l vectorized on points (anchored cell sums at
-    depth n).  Returns (partial_sums[L], plateau_flag); the plateau flag checks
-    that the increment over the last half of the index range is below 1% of
-    the total.
+    depth n, anchor rule 0).  Returns (partial_sums[L], plateau_flag); the
+    plateau flag checks that the increment over the last half of the index
+    range is below 1% of the total.
     """
     terms = np.empty(L)
     if isinstance(g_family, LevelIndicatorFamily):
@@ -292,7 +291,7 @@ def lemma22_diagnostic(g_family, real: MeasureRealization, L: int, n: int,
             terms[l - 1] = g_family.term(real, l)
     else:
         for l in range(1, L + 1):
-            v = integrate(g_family(l), real, n, anchor_rule)
+            v = integrate(g_family(l), real, n)
             terms[l - 1] = v * v
     partial = np.cumsum(terms)
     total = partial[-1]

@@ -10,7 +10,7 @@ source sigma(s, y) agg_n(y) enters the eigenbasis once per factor of those
 samples (one for every shipped preset), not once per node.
 
 eval_h keeps the older, independent rule as an oracle: Gauss-Legendre panels
-graded dyadically toward s = t, whose dropped head below t * 2^-panel_depth
+graded dyadically toward s = t, whose dropped head below t * 2^-50
 is bounded by its length times the density ceiling 1/min(m).
 
 eta is approximated by S^(n)(z) = sum_cells h(z, anchor) mass(cell); anchors
@@ -74,6 +74,11 @@ class SigmaFunction:
             raise ParamIntegralError("sigma must map S times and K points to (S, K) values")
         return out
 
+    def smooth_on(self, model: FractalModel) -> bool:
+        """The smoothness condition of the stochastic integral on the model:
+        Hoelder exponent above d_f / 2."""
+        return self.holder_exp > model.d_f / 2
+
 
 def sigma_preset(name: str, model: FractalModel | None = None, T: float = 1.0,
                  center=None) -> SigmaFunction:
@@ -114,15 +119,15 @@ def sigma_preset(name: str, model: FractalModel | None = None, T: float = 1.0,
     raise ParamIntegralError(f"unknown sigma preset {name!r}")
 
 
-def quad_nodes(t: float, panel_depth: int = 50, gl_order: int = 8):
+def quad_nodes(t: float, gl_order: int = 8):
     """Oracle rule of eval_h: Gauss-Legendre nodes/weights in tau = t - s on
-    dyadic panels [t 2^-(k+1), t 2^-k]; the dropped head [0, t 2^-panel_depth]
+    the 50 dyadic panels [t 2^-(k+1), t 2^-k]; the dropped head [0, t 2^-50]
     is bounded by length * density ceiling, far below the 1e-8 budget for
     shipped levels."""
     if t <= 0:
         raise ParamIntegralError("quadrature needs t > 0")
     gx, gw = np.polynomial.legendre.leggauss(gl_order)
-    edges = t * 2.0 ** -np.arange(panel_depth + 1)   # t, t/2, ..., t 2^-depth
+    edges = t * 2.0 ** -np.arange(51)   # t, t/2, ..., t 2^-50
     los, his = edges[1:], edges[:-1]
     half = 0.5 * (his - los)
     mid = 0.5 * (his + los)
@@ -145,7 +150,7 @@ class HFunction:
         self.sigma = sigma
         self.T = float(T)
         model = kernel.model
-        if strict and not sigma.holder_exp > model.d_f / 2:
+        if strict and not sigma.smooth_on(model):
             raise ParamIntegralError(
                 f"sigma exponent {sigma.holder_exp} fails the d_f/2 = "
                 f"{model.d_f / 2:.4f} smoothness gate")
@@ -329,17 +334,16 @@ class HolderRegression:
     n_pairs: int
 
 
-def estimate_h_holder(hf: HFunction, t: float, x_id: int, pairs_per_scale: int = 80,
-                      seed: int = 0) -> HolderRegression:
+def estimate_h_holder(hf: HFunction, t: float, x_id: int) -> HolderRegression:
     """log-log regression of |h(z,y1) - h(z,y2)| on |y1 - y2| over cell-sharing
-    vertex pairs at every depth (target exponent min{d_w - d_f, sigma exponent})."""
+    vertex pairs, 80 per depth (target exponent min{d_w - d_f, sigma exponent})."""
     from .kernel import _kept_pairs, _multiscale_pairs
 
     vs = hf.kernel.gen.vs
     if vs.level < 3:
         raise ParamIntegralError("need kernel level >= 3 for enough pair scales")
-    rng = np.random.default_rng(seed)
-    pairs = _kept_pairs(hf.kernel.gen, _multiscale_pairs(vs, rng, pairs_per_scale))
+    rng = np.random.default_rng(0)
+    pairs = _kept_pairs(hf.kernel.gen, _multiscale_pairs(vs, rng, 80))
     row = h_row(hf, t, x_id)
     pts = hf.points
     dist = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
@@ -351,13 +355,12 @@ def estimate_h_holder(hf: HFunction, t: float, x_id: int, pairs_per_scale: int =
     return HolderRegression(float(slope), float(intercept), int(ok.sum()))
 
 
-def path_regularity_report(ev: EtaEvaluation, n_bins: int = 6,
-                           max_pairs: int = 4000, seed: int = 0):
+def path_regularity_report(ev: EtaEvaluation, seed: int = 0):
     """Empirical modulus of continuity of eta over the z grid.
 
-    Distances use |t1 - t2| + |x1 - x2|; rows are (bin_lo, bin_hi, count,
-    max |eta(z1) - eta(z2)|).  The decreasing flag compares the finest and the
-    coarsest populated bins.
+    Distances use |t1 - t2| + |x1 - x2| over 4000 sampled pairs; rows are
+    (bin_lo, bin_hi, count, max |eta(z1) - eta(z2)|) over 6 log-spaced bins.
+    The decreasing flag compares the finest and the coarsest populated bins.
     """
     K, X = ev.eta.shape
     if K < 2 or X < 10:
@@ -367,8 +370,8 @@ def path_regularity_report(ev: EtaEvaluation, n_bins: int = 6,
     flat_p = np.tile(ev.points, (K, 1))
     flat_e = ev.eta.ravel()
     n = len(flat_e)
-    i = rng.integers(0, n, size=max_pairs)
-    j = rng.integers(0, n, size=max_pairs)
+    i = rng.integers(0, n, size=4000)
+    j = rng.integers(0, n, size=4000)
     keep = i != j
     i, j = i[keep], j[keep]
     dz = np.abs(flat_t[i] - flat_t[j]) + np.linalg.norm(flat_p[i] - flat_p[j], axis=1)
@@ -377,7 +380,7 @@ def path_regularity_report(ev: EtaEvaluation, n_bins: int = 6,
     dz, de = dz[pos], de[pos]
     if not np.all(np.isfinite(de)):
         raise ParamIntegralError("eta contains non-finite values")
-    edges = np.geomspace(dz.min(), dz.max() * (1 + 1e-12), n_bins + 1)
+    edges = np.geomspace(dz.min(), dz.max() * (1 + 1e-12), 7)
     rows = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         sel = (dz >= lo) & (dz < hi)

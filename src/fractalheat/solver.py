@@ -111,10 +111,9 @@ def f_preset(name: str, c: float = 0.5, T: float = 1.0) -> Nonlinearity:
     raise SolverError(f"unknown nonlinearity preset {name!r}")
 
 
-def u0_preset(name: str, center=None, width: float = 0.18,
-              height: float = 1.0) -> InitialCondition:
-    """bump (Gaussian of the given width; decays below 1e-3 at the domain
-    corners for the shipped width), one, zero."""
+def u0_preset(name: str, center=None, width: float = 0.18) -> InitialCondition:
+    """bump (unit-height Gaussian of the given width; decays below 1e-3 at the
+    domain corners for the shipped width), one, zero."""
     if name == "zero":
         return InitialCondition(lambda pts: np.zeros(len(pts)), 0.0, "zero")
     if name == "one":
@@ -122,9 +121,9 @@ def u0_preset(name: str, center=None, width: float = 0.18,
     if name == "bump":
         c = np.asarray([0.5, 0.5] if center is None else center, dtype=float)
 
-        def fn(pts, _c=c, _w=width, _h=height):
-            return _h * np.exp(-np.sum((pts - _c) ** 2, axis=1) / (2 * _w * _w))
-        return InitialCondition(fn, height, f"bump:{width}")
+        def fn(pts, _c=c, _w=width):
+            return np.exp(-np.sum((pts - _c) ** 2, axis=1) / (2 * _w * _w))
+        return InitialCondition(fn, 1.0, f"bump:{width}")
     raise SolverError(f"unknown initial condition preset {name!r}")
 
 
@@ -248,7 +247,7 @@ def assumption_gate(prob: PreparedProblem) -> GateReport:
         num = np.abs(spec.sigma(s, sample[i]) - spec.sigma(s, sample[j]))[0]
         nz = den > 1e-12
         hold_ratio = max(hold_ratio, float(np.max(num[nz] / den[nz], initial=0.0)))
-    exp_ok = spec.sigma.holder_exp > model.d_f / 2
+    exp_ok = spec.sigma.smooth_on(model)
     const_ok = hold_ratio <= spec.sigma.holder_const * (1 + 1e-6) + 1e-12
     entries.append(("A6 Hoelder forcing above d_f/2", bool(exp_ok and const_ok),
                     f"exponent {spec.sigma.holder_exp} vs d_f/2 = {model.d_f / 2:.4f}, "
@@ -318,18 +317,13 @@ class SolutionField:
     predicted_iterations: int = 0
 
     def bound_factorial(self, n: int) -> np.ndarray:
-        """Printed a-priori bound 2 C_f K_f^n t^(n+1) / (n+1)!."""
+        """Printed a-priori bound 2 C_f K_f^n t^(n+1) / (n+1)!.  One index
+        lower, bound_factorial(n - 1) is the chain the seed g_1 <= 2 C_f t and
+        g_n <= K_f int g_{n-1} actually produces for g_n: it holds for every
+        seed, while the printed form can be grazed by large-noise runs."""
         spec = self.prob.spec
         cf, kf = spec.f.c_bound, spec.f.lipschitz
         return 2.0 * cf * kf ** n * self.times ** (n + 1) / math.factorial(n + 1)
-
-    def bound_factorial_derived(self, n: int) -> np.ndarray:
-        """One index lower: 2 C_f K_f^(n-1) t^n / n!, the chain the seed
-        g_1 <= 2 C_f t and g_n <= K_f int g_{n-1} actually produces.  Holds for
-        every seed; the printed form can be grazed by large-noise runs."""
-        spec = self.prob.spec
-        cf, kf = spec.f.c_bound, spec.f.lipschitz
-        return 2.0 * cf * kf ** (n - 1) * self.times ** n / math.factorial(n)
 
     def to_csv(self, path) -> None:
         """Rows t,x_id,u: time, then vertex."""
@@ -348,13 +342,14 @@ class SolutionField:
 
 
 def _require_gate(prob: PreparedProblem) -> None:
-    """Refuse a problem whose gate failed, unless the spec overrides it."""
+    """Refuse a problem whose gate failed, unless the spec overrides it; the
+    error names the failed entries and carries the full gate report."""
     if prob.gate.passed:
         return
     if not prob.spec.override_gate:
         raise AssumptionGateError(
-            "assumption gate failed: " + ", ".join(prob.gate.failures())
-            + " (set override_gate=True to run anyway)")
+            "assumption gate failed: " + "; ".join(prob.gate.failures())
+            + "\n" + str(prob.gate))
     logger.warning("OVERRIDE: solving despite failed assumptions: %s",
                    ", ".join(prob.gate.failures()))
 

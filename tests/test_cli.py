@@ -120,6 +120,52 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines", [
+        "alpha = 3.0\n", "d_s = 1.0\n", "alpha = 0.9\nd_s = 1.0\n",
+        "alpha = 3.0\nd_s = -1\n", "alpha = 3.0\nd_s = nan\n",
+    ], ids=["no d_s", "no alpha", "alpha 0.9", "d_s -1", "d_s nan"])
+    def test_bad_model_file_refused(self, tmp_path, monkeypatch, lines):
+        import fractalheat.geometry as geometry
+
+        def no_vertex_set(*args, **kwargs):
+            raise AssertionError("vertex set built before the model was checked")
+
+        monkeypatch.setattr(geometry, "vertex_set", no_vertex_set)
+        ifs = tmp_path / "m.ini"
+        ifs.write_text(f"[model]\nname = m\n{lines}"
+                       "[maps]\np1 = 0,0\np2 = 0,1\np3 = 1,1\np4 = 1,0\np5 = 0.5,0.5\n")
+        out = tmp_path / "out"
+        rc = main(["solve", "--model", str(ifs), "--level", "1", "--depth", "2",
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["sm", "sample"], ["eta"], ["solve"]], ids=" ".join)
+    def test_depth_below_blowup_refused(self, tmp_path, monkeypatch, argv):
+        import fractalheat.geometry as geometry
+
+        def no_vertex_set(*args, **kwargs):
+            raise AssertionError("vertex set built before the depth was checked")
+
+        monkeypatch.setattr(geometry, "vertex_set", no_vertex_set)
+        out = tmp_path / "out"
+        rc = main([*argv, "--blowup", "2", "--depth", "1", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eta", "--level", "2", "--sigma", "rough_half"],      # 0.5 <= d_f/2
+        ["kernel", "--level", "4", "--format", "binary"],      # V = 1,876
+    ], ids=" ".join)
+    def test_refused_before_the_kernel(self, tmp_path, monkeypatch, argv):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("heat kernel built before the inputs were checked")
+
+        monkeypatch.setattr(K, "HeatKernel", no_kernel)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_bad_x_ids_flag_refused(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["kernel", "--level", "1", "--times", "0.1", "--x-ids", "0,a",
@@ -362,6 +408,10 @@ class TestVerifyCommand:
         report = (tmp_path / "report.csv").read_text().splitlines()
         assert report[0].startswith("name,passed")
         assert len(report) == 2
+
+    def test_results_named_by_registry_key(self):
+        from fractalheat.verify import run_verify
+        assert [r.name for r in run_verify("quick_kernel").results] == ["quick_kernel"]
 
     def test_unknown_check_rejected(self, tmp_path):
         rc = main(["verify", "--suite", "nosuch_check", "--out", str(tmp_path)])

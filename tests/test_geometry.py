@@ -305,6 +305,24 @@ class TestIfsFile:
         with pytest.raises(GeometryError):
             load_ifs_file(p)
 
+    @pytest.mark.parametrize("d_s", ["-1", "0", "nan", "inf", "1.5"])
+    def test_ds_outside_range_rejected(self, tmp_path, d_s):
+        # 0 < d_s <= d_f = log5/log3 = 1.465, that is d_w >= 2
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[model]\nname = x\nalpha = 3.0\nd_s = {d_s}\n"
+                     "[maps]\np1 = 0,0\np2 = 0,1\np3 = 1,1\np4 = 1,0\np5 = 0.5,0.5\n")
+        with pytest.raises(GeometryError, match="d_s"):
+            load_ifs_file(p)
+
+    @pytest.mark.parametrize("text", [
+        "name = x\n", "[model]\nd_s = 1.0\n[maps]\np1 = 0,0\np2 = 1,0\n",
+    ], ids=["no section header", "no alpha"])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        with pytest.raises(GeometryError):
+            load_ifs_file(p)
+
     def test_custom_model_needs_valid_alpha(self):
         with pytest.raises(GeometryError):
             model_from_ifs("bad", 0.9, np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0)
@@ -322,6 +340,16 @@ class TestOrthogonalSlot:
         x = np.array([0.3, 0.4])
         want = np.array([0.5, 0.8]) + rot @ (x - [0.5, 0.8]) / 2.0
         assert np.allclose(m.map_points(3, x), want)
+
+    def test_reflected_gasket_map_keeps_the_attractor(self, gasket):
+        # map 3 reflects its sub-triangle in the vertical line through its
+        # fixed point, a symmetry of that sub-triangle
+        orth = [np.eye(2), np.eye(2), np.diag([-1.0, 1.0])]
+        m = model_from_ifs("reflected", 2.0, gasket.fixed_points, gasket.d_s, orth)
+        vs, ref = vertex_set(m, 3), vertex_set(gasket, 3)
+        assert (vs.n_vertices, len(vs.edges)) == (42, 81)
+        assert np.allclose(vs.points, ref.points, atol=1e-12)
+        assert np.array_equal(vs.edges, ref.edges)
 
     def test_non_orthogonal_rejected(self):
         bad = np.stack([np.eye(2), 2.0 * np.eye(2)])

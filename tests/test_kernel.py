@@ -619,3 +619,64 @@ class TestSpectralSeam:
         assert "kernel.py" in touches      # the scan does see the owner
         assert {name: lines for name, lines in touches.items()
                 if name != "kernel.py"} == {}
+
+
+def _called_name(func):
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+class TestDefaultsInUse:
+    def test_every_default_is_set_by_some_call(self):
+        # a parameter default that no call in src/, tests/ or perfbench/ ever
+        # sets is a fixed value dressed as an option.  Calls are matched by
+        # name; a *args or **kwargs splat counts as setting everything, and
+        # names starting with "_" bind closure values, not options
+        import ast
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+                 for folder in ("src/fractalheat", "tests", "perfbench")
+                 for path in sorted((root / folder).glob("*.py"))}
+        # a conftest fixture returning a cached builder: calling the fixture
+        # calls the builder
+        alias = {fn.name: fn.body[-1].value.id
+                 for fn in trees[root / "tests" / "conftest.py"].body
+                 if isinstance(fn, ast.FunctionDef) and isinstance(fn.body[-1], ast.Return)
+                 and isinstance(fn.body[-1].value, ast.Name)}
+        calls = {}          # called name -> [(positional count, keywords, splat)]
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func, args = node.func, node.args
+                if _called_name(func) == "partial" and args:
+                    func, args = args[0], args[1:]
+                name = alias.get(_called_name(func), _called_name(func))
+                splat = (any(isinstance(a, ast.Starred) for a in args)
+                         or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    (len(args), {k.arg for k in node.keywords}, splat))
+        unset = []
+        for path, tree in trees.items():
+            if path.parent.name != "fractalheat":
+                continue
+            defs = [(None, node) for node in tree.body]
+            defs += [(node.name, fn) for node in tree.body
+                     if isinstance(node, ast.ClassDef) for fn in node.body]
+            for owner, fn in defs:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                a = fn.args
+                pos = [p.arg for p in a.posonlyargs + a.args][owner is not None:]
+                named = pos[len(pos) - len(a.defaults):] if a.defaults else []
+                named += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+                called = owner if fn.name == "__init__" else fn.name
+                for p in named:
+                    i = pos.index(p) if p in pos else math.inf     # keyword-only
+                    if not p.startswith("_") and not any(
+                            p in kw or splat or i < n for n, kw, splat in
+                            calls.get(called, [])):
+                        qual = f"{owner}.{fn.name}" if owner else fn.name
+                        unset.append(f"{path.name}:{qual}({p})")
+        assert not unset, "defaults no call sets:\n" + "\n".join(unset)

@@ -47,6 +47,13 @@ class TestGate:
         with pytest.raises(AssumptionGateError):
             picard_solve(prob)
 
+    def test_refusal_carries_gate_report(self, gasket):
+        prob = prepare(ProblemSpec(gasket, level=2, depth=3))
+        with pytest.raises(AssumptionGateError) as err:
+            picard_solve(prob)
+        assert "A7 spectral dimension below 4/3" in str(err.value)
+        assert str(err.value).endswith(str(prob.gate))
+
     def test_gasket_override_runs(self, gasket):
         prob = prepare(ProblemSpec(gasket, level=2, depth=3, override_gate=True,
                                    base=BaseSM("gaussian_white", seed=1)))
@@ -251,7 +258,7 @@ class TestPicard:
             sol = picard_solve(prob)
             for n in range(1, len(sol.g_history)):
                 g = sol.g_history[n]
-                bound = sol.bound_factorial_derived(n)
+                bound = sol.bound_factorial(n - 1)
                 mask = g > 1e-12
                 assert np.all(g[mask] <= bound[mask])
 
