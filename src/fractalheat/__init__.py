@@ -28,7 +28,6 @@ from .geometry import (
     apply_word,
     build_preset,
     check_assumption1,
-    essential_fixed_points,
     measure_weights,
     vertex_set,
 )

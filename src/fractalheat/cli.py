@@ -190,9 +190,9 @@ _DEFAULTS = {
     "boundary": "reflecting", "base": "gaussian", "sigma": "smooth",
     "f": "sin:0.5", "u0": "bump", "T": 1.0, "steps": 64, "times": None,
     "format": "csv", "x_ids": None, "suite": "quick", "out": None,
-    "override_gate": False, "action": None, "command": None,
-    "config": None,
+    "override_gate": False,
 }
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -218,8 +218,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg[key] = int(cfg[key])
     for key in ("T",):
         cfg[key] = float(cfg[key])
-    if isinstance(cfg["override_gate"], str):
-        cfg["override_gate"] = cfg["override_gate"].lower() in ("1", "true", "yes")
+    gate = str(cfg["override_gate"]).lower()
+    if gate not in _BOOLEANS:
+        raise ValidationError(f"override_gate={gate!r} is not true/false, yes/no or 1/0")
+    cfg["override_gate"] = _BOOLEANS[gate]
     for key, rng in (("level", (0, 8)), ("blowup", (0, 4)), ("depth", (0, 12)),
                      ("steps", (2, 4096))):
         if not rng[0] <= cfg[key] <= rng[1]:
@@ -256,7 +258,7 @@ def _echo_config(cfg: dict, out: str) -> str:
     path = os.path.join(out, "config_resolved.ini")
     cp = configparser.ConfigParser()
     cp["run"] = {k: repr(v) if not isinstance(v, str) else v
-                 for k, v in sorted(cfg.items()) if v is not None}
+                 for k, v in sorted(cfg.items()) if v is not None and k in _DEFAULTS}
     with open(path, "w", encoding="utf-8") as f:
         cp.write(f)
     return path
@@ -292,9 +294,13 @@ def cmd_model(cfg: dict) -> list[str]:
 
 def cmd_kernel(cfg: dict) -> list[str]:
     from .geometry import vertex_set
-    from .kernel import DENSE_TABLE_LIMIT, build_generator, kernel
+    from .kernel import DENSE_TABLE_LIMIT, build_generator, kernel, scaling_window
     model = _resolve_model(cfg["model"])
     times = parse_times(cfg["times"]) if cfg["times"] else None
+    lo, hi = scaling_window(model, cfg["level"], cfg["blowup"])
+    if times is None and lo >= hi:
+        raise ValidationError(f"the default time grid, the scaling window [{lo:g}, {hi:g}], "
+                              f"is empty at level {cfg['level']}; pass --times")
     vs = vertex_set(model, cfg["level"], cfg["blowup"])
     gen = build_generator(vs, boundary=cfg["boundary"])
     x_ids = cfg["x_ids"]

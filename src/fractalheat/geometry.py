@@ -12,15 +12,15 @@ Two presets ship with validated parameters:
 * gasket  -- equilateral triangle, alpha = 2, N = 3,
              d_f = log3/log2, d_s = log9/log5, d_w = log5/log2.
 
-User-supplied models must provide d_s explicitly (deriving it from resistance
-scaling is out of scope); it must be finite with 0 < d_s <= d_f, that is
-d_w >= 2 (Barlow, "Diffusions on fractals", LNM 1690).
+Every model (preset, IFS file or direct) is built by FractalModel, which checks
+that each map is a similitude of ratio 1/alpha and that 0 < d_s <= d_f, that is
+d_w >= 2 (Barlow, "Diffusions on fractals", LNM 1690).  d_s is given, not derived.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,9 +32,7 @@ __all__ = [
     "VertexSet",
     "MeasureWeights",
     "build_preset",
-    "model_from_ifs",
     "apply_word",
-    "essential_fixed_points",
     "vertex_set",
     "check_assumption1",
     "measure_weights",
@@ -61,7 +59,8 @@ class GeometryError(ValueError):
 class FractalModel:
     """An equal-ratio IFS with its derived walk/spectral/fractal dimensions.
 
-    Immutable after construction; safe to share across threads.
+    Construction checks it and derives essential_indices (Lindstrom, Mem. AMS
+    420, 1990).  Immutable after construction; safe to share across threads.
     """
 
     name: str
@@ -70,7 +69,7 @@ class FractalModel:
     d_s: float
     orthogonal: np.ndarray | None = None   # (N, d, d); None means identity maps
     assumption1_k: int | str = "unverified"
-    essential_indices: tuple[int, ...] = ()
+    essential_indices: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.fixed_points, dtype=float)
@@ -83,11 +82,32 @@ class FractalModel:
             orth = np.asarray(self.orthogonal, dtype=float)
             if orth.shape != (self.N, self.d, self.d):
                 raise GeometryError("orthogonal must have shape (N, d, d)")
-            eye = np.eye(self.d)
-            for q in orth:
-                if not np.allclose(q.T @ q, eye, atol=1e-12):
-                    raise GeometryError("orthogonal parts must be orthogonal matrices")
+            if not np.allclose(orth.transpose(0, 2, 1) @ orth, np.eye(self.d), atol=1e-12):
+                raise GeometryError("orthogonal parts must be orthogonal matrices")
             object.__setattr__(self, "orthogonal", orth)
+        # contraction ratio on 1000 random pairs
+        x, y = np.random.default_rng(0).uniform(-1, 2, size=(2, 1000, self.d))
+        base = np.linalg.norm(x - y, axis=1)
+        for i in range(1, self.N + 1):
+            ratio = np.linalg.norm(self.map_points(i, x) - self.map_points(i, y), axis=1) / base
+            if not np.allclose(ratio, 1.0 / self.alpha, rtol=1e-12):
+                raise GeometryError(f"map {i} is not a similitude with ratio 1/alpha")
+        if not 0 < self.d_s <= self.d_f:          # also refuses nan and inf
+            raise GeometryError(f"d_s = {self.d_s} outside (0, d_f = {self.d_f:.5f}]")
+        object.__setattr__(self, "essential_indices", self._essential_indices())
+
+    def _essential_indices(self) -> tuple[int, ...]:
+        """Fixed points x admitting psi_j(x) = psi_k(y) for some fixed point y
+        and j != k.  The definition is finitary, so enumerating every
+        (x, j, y, k) quadruple is the specification."""
+        images = np.stack([self.map_points(k, self.fixed_points)
+                           for k in range(1, self.N + 1)])           # (k, y, d)
+        hit = np.zeros(self.N, dtype=bool)
+        for j, px in enumerate(images):                              # psi_j(x): (x, d)
+            near = np.linalg.norm(px[:, None, None] - images, axis=-1) < 1e-12
+            near[:, j] = False                                       # (x, k, y), k != j
+            hit |= near.any(axis=(1, 2))
+        return tuple(int(i) for i in np.flatnonzero(hit))
 
     @property
     def N(self) -> int:
@@ -124,24 +144,6 @@ class FractalModel:
             delta = delta @ self.orthogonal[i - 1].T
         return a + delta
 
-    def validate(self) -> None:
-        """Cheap numeric self-checks: contraction ratio on 1000 random pairs,
-        and d_s finite with 0 < d_s <= d_f, that is d_w >= 2."""
-        rng = np.random.default_rng(0)
-        x = rng.uniform(-1, 2, size=(1000, self.d))
-        y = rng.uniform(-1, 2, size=(1000, self.d))
-        base = np.linalg.norm(x - y, axis=1)
-        for i in range(1, self.N + 1):
-            ratio = np.linalg.norm(self.map_points(i, x) - self.map_points(i, y), axis=1) / base
-            if not np.allclose(ratio, 1.0 / self.alpha, rtol=1e-12):
-                raise GeometryError(f"map {i} is not a similitude with ratio 1/alpha")
-        if not 0 < self.d_s <= self.d_f:          # also refuses nan and inf
-            raise GeometryError(f"d_s = {self.d_s} outside (0, d_f = {self.d_f:.5f}]")
-        fset = {tuple(np.round(p, DEDUP_DECIMALS)) for p in self.fixed_points}
-        for p in self.essential_fixed_points:
-            if tuple(np.round(p, DEDUP_DECIMALS)) not in fset:
-                raise GeometryError("essential fixed point is not a fixed point")
-
 
 @dataclass(frozen=True)
 class CellAddress:
@@ -167,16 +169,13 @@ class CellAddress:
     def child(self, i: int) -> "CellAddress":
         return CellAddress(self.word + (i,), self.blowup)
 
-    def children(self, model: FractalModel) -> list["CellAddress"]:
-        return [self.child(i) for i in range(1, model.N + 1)]
-
     def diameter(self, model: FractalModel) -> float:
         """alpha^(M - n): the cell diameter in units of diam(E)."""
         return model.alpha ** (self.blowup - self.depth)
 
 
 def build_preset(name: str) -> FractalModel:
-    """Construct a validated preset model ('vicsek' or 'gasket')."""
+    """Construct a preset model ('vicsek' or 'gasket')."""
     if name == "vicsek":
         pts = np.array([
             [0.0, 0.0],
@@ -195,49 +194,7 @@ def build_preset(name: str) -> FractalModel:
         alpha, d_s, assumption1_k = 2.0, math.log(9) / math.log(5), "unverified"
     else:
         raise GeometryError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
-    return model_from_ifs(name, alpha, pts, d_s, assumption1_k=assumption1_k)
-
-
-def model_from_ifs(name: str, alpha: float, fixed_points, d_s: float,
-                   orthogonal=None, assumption1_k: int | str = "unverified") -> FractalModel:
-    """Build and validate a user-supplied model. d_s must be supplied (its
-    derivation from resistance scaling is out of scope), finite with
-    0 < d_s <= d_f.  orthogonal gives the maps' (N, d, d) orthogonal parts."""
-    model = FractalModel(name, float(alpha), np.asarray(fixed_points, float),
-                         float(d_s), orthogonal, assumption1_k)
-    ess = essential_fixed_points(model, indices=True)
-    model = FractalModel(model.name, model.alpha, model.fixed_points, model.d_s,
-                         model.orthogonal, model.assumption1_k, tuple(ess))
-    model.validate()
-    return model
-
-
-def essential_fixed_points(model: FractalModel, indices: bool = False):
-    """Fixed points x admitting psi_j(x) = psi_k(y) for some fixed point y and j != k.
-
-    Brute force over all (x, j, y, k) quadruples; the definition is finitary,
-    so enumeration is the specification.
-    """
-    F = model.fixed_points
-    found = []
-    for xi in range(model.N):
-        hit = False
-        for j in range(1, model.N + 1):
-            px = model.map_points(j, F[xi])
-            for k in range(1, model.N + 1):
-                if k == j:
-                    continue
-                img = model.map_points(k, F)
-                if np.any(np.linalg.norm(img - px, axis=1) < 1e-12):
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            found.append(xi)
-    if indices:
-        return found
-    return F[found]
+    return FractalModel(name, alpha, pts, d_s, assumption1_k=assumption1_k)
 
 
 def apply_word(model: FractalModel, addr: CellAddress, x) -> np.ndarray:
@@ -447,7 +404,8 @@ def check_assumption1(model: FractalModel, m: int, samples: int = 200,
 
 
 def load_ifs_file(path) -> FractalModel:
-    """Read a user IFS description (INI-style structured text).
+    """Read a user IFS description (INI-style structured text) into a
+    FractalModel, checked like any other; the maps carry no rotation.
 
     Expected sections::
 
@@ -478,5 +436,5 @@ def load_ifs_file(path) -> FractalModel:
     pts = []
     for key in sorted(cp["maps"], key=lambda k: (len(k), k)):
         pts.append([float(tok) for tok in cp["maps"][key].replace(",", " ").split()])
-    return model_from_ifs(sec.get("name", "custom"), float(sec["alpha"]),
-                          np.array(pts, dtype=float), float(sec["d_s"]))
+    return FractalModel(sec.get("name", "custom"), float(sec["alpha"]),
+                        np.array(pts, dtype=float), float(sec["d_s"]))

@@ -590,8 +590,8 @@ class HeatKernelTable:
 
 
 def kernel(gen: GeneratorMatrix, times: np.ndarray | None = None) -> HeatKernelTable:
-    """Evaluate the heat semigroup on a positive, sorted time grid."""
-    hk = HeatKernel(gen)
+    """Evaluate the heat semigroup on a positive, sorted time grid (default:
+    the scaling window on a log grid), checked before the kernel is factored."""
     if times is None:
         lo, hi = scaling_window(gen.model, gen.level, gen.vs.blowup)
         times = log_time_grid(lo, hi)
@@ -600,6 +600,7 @@ def kernel(gen: GeneratorMatrix, times: np.ndarray | None = None) -> HeatKernelT
         raise KernelError("time grid must be positive")
     if np.any(np.diff(times) <= 0):
         raise KernelError("time grid must be strictly increasing")
+    hk = HeatKernel(gen)
     diag = hk.diag_density(times)
     dense = None
     if hk.n_vertices <= DENSE_TABLE_LIMIT:
@@ -624,11 +625,12 @@ def estimate_spectral_dimension(table: HeatKernelTable, window=None,
     The default window starts at ten mean jump times and stops at half a
     relaxation time 1/|lambda_1| (measured from the spectrum), where the
     reflecting semigroup starts flattening toward its stationary floor.
+    A kernel without a vertex set needs both window and interior.
     """
     gen = table.kernel.gen
+    if gen.vs is None and (window is None or interior is None):
+        raise KernelError("window and interior required when the kernel has no vertex set")
     if window is None:
-        if table.model is None:
-            raise KernelError("window required when the table has no model")
         lo, hi = scaling_window(table.model, table.level, gen.vs.blowup)
         if table.kernel.n_vertices > 1:
             gap = -np.sort(table.kernel.eigenvalues)[-2]

@@ -142,8 +142,6 @@ class ProblemSpec:
     sigma: SigmaFunction = None
     base: BaseSM = None
     depth: int = 5
-    component_weights: object = None
-    anchor_rule: int = 0
     stop_tol: float = 1e-8
     max_iter: int = 25
     override_gate: bool = False
@@ -195,8 +193,7 @@ class PreparedProblem:
         # the gate already reports the smoothness condition; constructing the
         # h-function non-strictly keeps prepare() report-only on bad input
         self.hfunction = HFunction(self.kernel, spec.sigma, T=spec.T, strict=False)
-        self.realization = realize(spec.base, spec.model, spec.blowup, spec.depth,
-                                   spec.component_weights)
+        self.realization = realize(spec.base, spec.model, spec.blowup, spec.depth)
         self.times = np.linspace(0.0, spec.T, spec.n_steps + 1)
         self.u0_values = spec.u0(self.points)
 
@@ -268,8 +265,7 @@ def _det_field(prob: PreparedProblem) -> np.ndarray:
 def _stoch_field(prob: PreparedProblem) -> np.ndarray:
     """Frozen stochastic term eta(t, x) on the grid (zero at t = 0)."""
     out = np.zeros((len(prob.times), len(prob.points)))
-    ev = eval_eta(prob.hfunction, prob.realization, prob.times[1:],
-                  n_max=prob.spec.depth, anchor_rule=prob.spec.anchor_rule)
+    ev = eval_eta(prob.hfunction, prob.realization, prob.times[1:], n_max=prob.spec.depth)
     out[1:] = ev.eta
     return out
 

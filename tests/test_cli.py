@@ -166,6 +166,47 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--level", "0"], ["--level", "1"], ["--model", "gasket", "--level", "1"],
+    ], ids=" ".join)
+    def test_kernel_empty_default_window_refused(self, tmp_path, monkeypatch, capsys, argv):
+        # the default grid spans [10 time_scale^(blowup - level), 0.5], empty
+        # on these levels; refused before any vertex set is built
+        import fractalheat.geometry as geometry
+
+        def no_vertex_set(*args, **kwargs):
+            raise AssertionError("vertex set built before the time window was checked")
+
+        monkeypatch.setattr(geometry, "vertex_set", no_vertex_set)
+        out = tmp_path / "out"
+        assert main(["kernel", *argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert "--times" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["override_gate = bogus", "override_gate = on",
+                                      "command = model", "action = sample",
+                                      "config = other.ini"])
+    def test_ignored_config_value_refused(self, tmp_path, line):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[run]\n{line}\n")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "solve", "--level", "1", "--depth", "2",
+                   "--steps", "4", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,rc", [("TRUE", EXIT_OK), ("Yes", EXIT_OK), ("1", EXIT_OK),
+                                         ("false", EXIT_VALIDATION), ("NO", EXIT_VALIDATION),
+                                         ("0", EXIT_VALIDATION)])
+    def test_override_gate_config_values(self, tmp_path, text, rc):
+        # the gasket fails gate A7, so only a true override_gate runs it
+        cfg = tmp_path / "gate.ini"
+        cfg.write_text(f"[run]\noverride_gate = {text}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "solve", "--model", "gasket", "--level", "1",
+                     "--depth", "2", "--steps", "4", "--out", str(out)]) == rc
+        assert (out / "solution.csv").exists() == (rc == EXIT_OK)
+
     def test_bad_x_ids_flag_refused(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["kernel", "--level", "1", "--times", "0.1", "--x-ids", "0,a",

@@ -14,10 +14,8 @@ from fractalheat.geometry import (
     cell_anchors,
     cell_corners,
     check_assumption1,
-    essential_fixed_points,
     load_ifs_file,
     measure_weights,
-    model_from_ifs,
     vertex_set,
 )
 
@@ -52,12 +50,12 @@ class TestPresets:
             build_preset("menger")
 
     def test_validate_runs(self, vicsek):
-        vicsek.validate()
+        assert vicsek.essential_indices == (0, 1, 2, 3)
 
 
 class TestEssentialFixedPoints:
     def test_vicsek_corners_only(self, vicsek):
-        pts = essential_fixed_points(vicsek)
+        pts = vicsek.essential_fixed_points
         assert sorted(map(tuple, pts)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         # the center (1/2, 1/2) is excluded
         assert (0.5, 0.5) not in set(map(tuple, pts))
@@ -69,11 +67,12 @@ class TestEssentialFixedPoints:
         assert np.allclose(a, b) and np.allclose(a, [1 / 3, 1 / 3])
 
     def test_gasket_all_three(self, gasket):
-        assert len(essential_fixed_points(gasket)) == 3
+        assert len(gasket.essential_fixed_points) == 3
 
-    def test_single_map_empty(self):
-        m = FractalModel("one", 2.0, np.array([[0.0, 0.0]]), d_s=1.0)
-        assert len(essential_fixed_points(m)) == 0
+    def test_single_map_refused(self):
+        # one map has d_f = 0, so no d_s lies in (0, d_f]
+        with pytest.raises(GeometryError, match="d_s"):
+            FractalModel("one", 2.0, np.array([[0.0, 0.0]]), d_s=1.0)
 
 
 class TestApplyWord:
@@ -325,7 +324,7 @@ class TestIfsFile:
 
     def test_custom_model_needs_valid_alpha(self):
         with pytest.raises(GeometryError):
-            model_from_ifs("bad", 0.9, np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0)
+            FractalModel("bad", 0.9, np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0)
 
 
 class TestOrthogonalSlot:
@@ -336,7 +335,6 @@ class TestOrthogonalSlot:
         m = FractalModel("rotated", 2.0,
                          np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]]),
                          d_s=1.2, orthogonal=orth)
-        m.validate()
         x = np.array([0.3, 0.4])
         want = np.array([0.5, 0.8]) + rot @ (x - [0.5, 0.8]) / 2.0
         assert np.allclose(m.map_points(3, x), want)
@@ -345,7 +343,7 @@ class TestOrthogonalSlot:
         # map 3 reflects its sub-triangle in the vertical line through its
         # fixed point, a symmetry of that sub-triangle
         orth = [np.eye(2), np.eye(2), np.diag([-1.0, 1.0])]
-        m = model_from_ifs("reflected", 2.0, gasket.fixed_points, gasket.d_s, orth)
+        m = FractalModel("reflected", 2.0, gasket.fixed_points, gasket.d_s, orth)
         vs, ref = vertex_set(m, 3), vertex_set(gasket, 3)
         assert (vs.n_vertices, len(vs.edges)) == (42, 81)
         assert np.allclose(vs.points, ref.points, atol=1e-12)
@@ -356,3 +354,51 @@ class TestOrthogonalSlot:
         with pytest.raises(GeometryError):
             FractalModel("bad", 2.0, np.array([[0.0, 0.0], [1.0, 0.0]]),
                          d_s=1.0, orthogonal=bad)
+
+
+class TestConstruction:
+    # FractalModel(...) is the one construction path: presets and IFS files
+    # go through it, so its checks hold for every model
+
+    @pytest.mark.parametrize("d_s", [-1.0, 0.0, math.nan, math.inf, 1.5])
+    def test_ds_outside_range_refused(self, vicsek, d_s):
+        with pytest.raises(GeometryError, match="d_s"):
+            FractalModel("v", 3.0, vicsek.fixed_points, d_s)
+
+    def test_non_similitude_refused(self):
+        # 1 + 1e-6 passes the orthogonality check's default rtol, not the ratio
+        orth = np.stack([np.eye(2), (1.0 + 1e-6) * np.eye(2)])
+        with pytest.raises(GeometryError, match="similitude"):
+            FractalModel("bad", 2.0, np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0, orth)
+
+    def test_essential_indices_derived_not_given(self, vicsek):
+        with pytest.raises(TypeError):
+            FractalModel("v", 3.0, vicsek.fixed_points, vicsek.d_s,
+                         essential_indices=(0, 1, 2, 3, 4))
+
+    @pytest.mark.parametrize("alpha,pts,d_s,orth,want", [
+        (2.0, [[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]], 1.2, None, (0, 1, 2)),
+        (2.0, [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]], 1.2,
+         [np.eye(2), np.eye(2), [[0.0, -1.0], [1.0, 0.0]]], (0, 1)),
+        (2.0, [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]], 1.2,
+         [np.eye(2), np.eye(2), np.diag([-1.0, 1.0])], (0, 1, 2)),
+        (3.0, [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
+         + [[0.5, 0.5, 0.5]], 4 / 3, None, tuple(range(8))),
+        # psi_1(F) = {0, 1/3} and psi_2(F) = {2/3, 1} on the x axis never meet
+        (3.0, [[0.0, 0.0], [1.0, 0.0]], 0.5, None, ()),
+    ], ids=["scalene", "rotated", "reflected-gasket", "vicsek3d", "cantor"])
+    def test_essential_indices(self, alpha, pts, d_s, orth, want):
+        m = FractalModel("m", alpha, np.array(pts), d_s, orth)
+        assert m.essential_indices == want == _essential_by_loops(m)
+
+    def test_presets_match_the_definition(self, vicsek, gasket):
+        for m in (vicsek, gasket):
+            assert m.essential_indices == _essential_by_loops(m)
+
+
+def _essential_by_loops(model):
+    """The definition, one (x, j, y, k) quadruple at a time."""
+    F, symbols = model.fixed_points, range(1, model.N + 1)
+    return tuple(x for x in range(model.N) if any(
+        np.linalg.norm(model.map_points(j, F[x]) - model.map_points(k, F[y])) < 1e-12
+        for j in symbols for k in symbols if k != j for y in range(model.N)))

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fractalheat.kernel as K
-from fractalheat.geometry import build_preset, model_from_ifs, vertex_set
+from fractalheat.geometry import FractalModel, build_preset, vertex_set
 from fractalheat.kernel import (
     HeatKernel,
     HeatKernelTable,
@@ -250,6 +251,17 @@ class TestSpectralDimension:
         est = estimate_spectral_dimension(tab, window=(10 / rate, 0.02),
                                           interior=np.arange(n))
         assert abs(est.d_s - 1.0) < 0.05
+
+    @pytest.mark.parametrize("given", [{}, {"window": (0.01, 0.1)},
+                                       {"interior": np.arange(64)}],
+                             ids=["neither", "window only", "interior only"])
+    def test_without_vertex_set_needs_window_and_interior(self, given):
+        gen = _cycle_generator(64)
+        kern = HeatKernel(gen)
+        ts = np.geomspace(0.001, 0.2, 20)
+        tab = HeatKernelTable(kern, ts, kern.diag_density(ts), None)
+        with pytest.raises(KernelError, match="vertex set"):
+            estimate_spectral_dimension(tab, **given)
 
 
 class TestHolder:
@@ -554,7 +566,7 @@ class TestSymmetryBlocks:
 
     @pytest.mark.parametrize("make", [
         lambda: _cycle_generator(200),
-        lambda: build_generator(vertex_set(model_from_ifs(
+        lambda: build_generator(vertex_set(FractalModel(
             "scalene", 2.0, [[0.0, 0.0], [1.0, 0.0], [0.3, 0.7]],
             math.log(9) / math.log(5)), 3)),
     ], ids=["cycle-without-vertex-set", "scalene-triangle"])
@@ -604,7 +616,6 @@ class TestSpectralSeam:
     def test_only_kernel_module_touches_spectral_form(self):
         # B and the eigenvalues stay behind HeatKernel's methods, so another
         # backend can replace the dense spectral form inside kernel.py alone
-        import ast
         from pathlib import Path
 
         src = Path(__file__).resolve().parents[1] / "src" / "fractalheat"
@@ -625,13 +636,33 @@ def _called_name(func):
     return getattr(func, "id", getattr(func, "attr", None))
 
 
+def _init_fields(cls):
+    """Init fields of a @dataclass class node, in constructor order, as
+    (name, has default); None for any other class."""
+    if not any(_called_name(getattr(d, "func", d)) == "dataclass"
+               for d in cls.decorator_list):
+        return None
+    out = []
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        value = node.value
+        if (isinstance(value, ast.Call) and _called_name(value.func) == "field"
+                and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                        for k in value.keywords)):
+            continue
+        out.append((node.target.id, value is not None))
+    return out
+
+
 class TestDefaultsInUse:
     def test_every_default_is_set_by_some_call(self):
-        # a parameter default that no call in src/, tests/ or perfbench/ ever
-        # sets is a fixed value dressed as an option.  Calls are matched by
-        # name; a *args or **kwargs splat counts as setting everything, and
-        # names starting with "_" bind closure values, not options
-        import ast
+        # a default that no call in src/, tests/ or perfbench/ ever sets is a
+        # fixed value dressed as an option.  It covers function parameters and
+        # the init fields of dataclasses, where a positional constructor
+        # argument sets the field in its place.  Calls are matched by name; a
+        # *args or **kwargs splat counts as setting everything, and names
+        # starting with "_" bind closure values, not options
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[1]
@@ -657,7 +688,7 @@ class TestDefaultsInUse:
                          or any(k.arg is None for k in node.keywords))
                 calls.setdefault(name, []).append(
                     (len(args), {k.arg for k in node.keywords}, splat))
-        unset = []
+        options = []        # (where, called name, positional names, defaulted names)
         for path, tree in trees.items():
             if path.parent.name != "fractalheat":
                 continue
@@ -665,18 +696,24 @@ class TestDefaultsInUse:
             defs += [(node.name, fn) for node in tree.body
                      if isinstance(node, ast.ClassDef) for fn in node.body]
             for owner, fn in defs:
+                if isinstance(fn, ast.ClassDef) and _init_fields(fn) is not None:
+                    fields = _init_fields(fn)
+                    options.append((f"{path.name}:{fn.name}", fn.name,
+                                    [f for f, _ in fields], [f for f, d in fields if d]))
                 if not isinstance(fn, ast.FunctionDef):
                     continue
                 a = fn.args
                 pos = [p.arg for p in a.posonlyargs + a.args][owner is not None:]
                 named = pos[len(pos) - len(a.defaults):] if a.defaults else []
                 named += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
-                called = owner if fn.name == "__init__" else fn.name
-                for p in named:
-                    i = pos.index(p) if p in pos else math.inf     # keyword-only
-                    if not p.startswith("_") and not any(
-                            p in kw or splat or i < n for n, kw, splat in
-                            calls.get(called, [])):
-                        qual = f"{owner}.{fn.name}" if owner else fn.name
-                        unset.append(f"{path.name}:{qual}({p})")
+                qual = f"{owner}.{fn.name}" if owner else fn.name
+                options.append((f"{path.name}:{qual}",
+                                owner if fn.name == "__init__" else fn.name, pos, named))
+        unset = []
+        for where, called, pos, named in options:
+            for p in named:
+                i = pos.index(p) if p in pos else math.inf     # keyword-only
+                if not p.startswith("_") and not any(
+                        p in kw or splat or i < n for n, kw, splat in calls.get(called, [])):
+                    unset.append(f"{where}({p})")
         assert not unset, "defaults no call sets:\n" + "\n".join(unset)

@@ -225,7 +225,7 @@ class TestStochasticTerm:
         aid = prob.hfunction.snap_ids(2)[4]
         want = h_matrix(prob.hfunction, t)[:, aid]
         got = eval_eta(prob.hfunction, prob.realization, [t], n_max=prob.spec.depth,
-                       x_ids=[0, 5, 40], anchor_rule=prob.spec.anchor_rule).eta[0]
+                       x_ids=[0, 5, 40]).eta[0]
         assert np.allclose(got, want[[0, 5, 40]], atol=1e-12)
 
 
@@ -278,6 +278,13 @@ class TestPicard:
                            max_iter=6)
         sol = picard_solve(prepare(spec))
         assert not sol.converged and sol.iterations == 6
+
+    def test_looser_stop_tol_stops_earlier(self, vicsek, sol2):
+        prob = prepare(ProblemSpec(vicsek, level=2, depth=4, stop_tol=1e-4,
+                                   base=BaseSM("gaussian_white", seed=42)))
+        sol = picard_solve(prob)
+        assert sol.converged and sol.iterations < sol2.iterations
+        assert sol.g_history[-1].max() < 1e-4
 
     def test_determinism_bitwise(self, prob2, sol2):
         again = picard_solve(prob2)
