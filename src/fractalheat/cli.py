@@ -1,9 +1,11 @@
 """Command-line entry point: model / kernel / sm / eta / solve / verify.
 
-Configuration precedence is CLI flags > config file > defaults; the fully
-resolved configuration is echoed into the output directory next to a MANIFEST
-listing sha256 checksums of every artifact (timestamps live only there, so
-repeated runs of the same configuration produce byte-identical artifacts).
+Every option is declared once, in `_OPTIONS`.  Its text is laid over as
+defaults < config file < CLI flags, then parsed once, in table order, for
+every subcommand.  The resolved texts are echoed into the output directory
+next to a MANIFEST listing sha256 checksums of every artifact (timestamps
+live only there, so repeated runs of the same configuration produce
+byte-identical artifacts).
 
 Exit codes: 0 success, 1 computation failure, 2 validation failure, refused
 before any artifact: bad options or model files, a vertex set above the dense
@@ -14,15 +16,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
+import dataclasses
 import hashlib
+import math
 import os
 import sys
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 from .kernel import KernelSizeError, log_time_grid
 from .paramint import ParamIntegralError
-from .solver import AssumptionGateError, SolverError
+from .solver import AssumptionGateError, ProblemSpec, SolverError, bump_center
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -35,111 +39,165 @@ class ValidationError(ValueError):
     pass
 
 
-def _validated(parse):
-    """An option parser whose failure on its text, a malformed value or an
-    unknown preset, is a validation error (exit 2)."""
-    @functools.wraps(parse)
-    def checked(text, *args):
-        try:
-            return parse(text, *args)
-        except (ValueError, SolverError, ParamIntegralError) as exc:
-            raise ValidationError(f"bad value {text!r}: {exc}") from None
-    return checked
+def _int(text: str, lo: int, hi: float = math.inf) -> int:
+    value = int(text)
+    if not lo <= value <= hi:
+        raise ValidationError(f"{value} outside [{lo}, {hi}]")
+    return value
 
 
-@_validated
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{text!r} is not a positive finite number")
+    return value
+
+
+def _arity(name: str, args: list, most: dict) -> None:
+    """Refuse a preset spec with more ':' arguments than its name reads."""
+    if len(args) > most.get(name, 0):
+        raise ValidationError(f"{name!r} takes at most {most.get(name, 0)} ':' argument(s)")
+
+
 def parse_times(text: str):
-    """Time grid syntax: 'a:b:logN' (N points per decade), 'a:b:linN', or a
-    single positive number."""
+    """Time grid syntax: 'a:b:logN' (N >= 1 points per decade), 'a:b:linN'
+    (N >= 2 points), or a single number; every number positive and finite."""
     import numpy as np
     parts = text.split(":")
     if len(parts) == 1:
-        t = float(parts[0])
-        if t <= 0:
-            raise ValidationError("time must be positive")
-        return np.array([t])
+        return np.array([_positive(text)])
     if len(parts) != 3:
         raise ValidationError(f"bad time grid {text!r}; use a:b:logN or a:b:linN")
-    a, b = float(parts[0]), float(parts[1])
-    if not 0 < a < b:
+    a, b = _positive(parts[0]), _positive(parts[1])
+    if not a < b:
         raise ValidationError("time grid needs 0 < a < b")
-    mode = parts[2]
-    if mode.startswith("log"):
-        return log_time_grid(a, b, int(mode[3:] or "20"))
-    if mode.startswith("lin"):
-        return np.linspace(a, b, max(2, int(mode[3:] or "16")))
-    raise ValidationError(f"bad grid mode {mode!r}")
+    mode, count = parts[2][:3], parts[2][3:]
+    if mode == "log":
+        return log_time_grid(a, b, _int(count or "20", 1))
+    if mode == "lin":
+        return np.linspace(a, b, _int(count or "16", 2))
+    raise ValidationError(f"bad grid mode {parts[2]!r}")
 
 
-def _resolve_model(name: str):
+# The option parsers: (text, the values parsed above it in _OPTIONS) -> value.
+
+def _model(text: str, cfg: dict):
     from .geometry import PRESET_NAMES, build_preset, load_ifs_file
-    if name in PRESET_NAMES:
-        return build_preset(name)
-    if os.path.exists(name):
-        try:
-            return load_ifs_file(name)
-        except ValueError as exc:       # GeometryError, or a malformed number
-            raise ValidationError(f"bad model file {name!r}: {exc}") from None
-    raise ValidationError(f"unknown model {name!r}: not a preset {PRESET_NAMES} "
-                          "and not an IFS file path")
+    if text in PRESET_NAMES:
+        return build_preset(text)
+    if os.path.exists(text):
+        return load_ifs_file(text)
+    raise ValidationError(f"not a preset {PRESET_NAMES} and not an IFS file path")
 
 
-@_validated
-def _parse_sigma(text: str, model, T: float):
-    from .paramint import sigma_preset
-    name = text.split(":", 1)[1] if text.startswith("preset:") else text
-    return sigma_preset(name, model, T)
+_BASE_ALIASES = {"gaussian": "gaussian_white", "stable": "symmetric_stable",
+                 "atomic": "atomic_series"}
 
 
-@_validated
-def _parse_f(text: str, T: float):
-    from .solver import f_preset
-    name, colon, arg = text.partition(":")
-    if colon and name in ("sin", "const"):
-        return f_preset(name, c=float(arg), T=T)
-    return f_preset(name, T=T)
-
-
-@_validated
-def _parse_u0(text: str, model, blowup: int):
-    from .solver import u0_preset
-    parts = text.split(":")
-    name = parts[0]
-    if name == "bump":
-        center = model.fixed_points.mean(axis=0) * model.alpha ** blowup
-        width = float(parts[2]) if len(parts) > 2 else 0.18
-        return u0_preset("bump", center=center, width=width)
-    return u0_preset(name)
-
-
-@_validated
-def _parse_base(text: str, seed: int):
+def _base(text: str, cfg: dict):
     from .measure import BaseSM
-    kind, _, arg = text.partition(":")
-    if kind in ("gaussian", "gaussian_white"):
-        return BaseSM("gaussian_white", seed=seed)
-    if kind in ("stable", "symmetric_stable"):
-        return BaseSM("symmetric_stable", seed=seed,
-                      stable_index=float(arg) if arg else 1.5)
-    if kind in ("atomic", "atomic_series"):
-        atoms = []
-        for tok in (arg or "0.5=1.0").split(";"):
-            pos, coef = tok.split("=")
-            atoms.append((float(pos), float(coef)))
-        return BaseSM("atomic_series", seed=seed, atoms=tuple(atoms))
-    raise ValidationError(f"unknown base measure {text!r}")
+    kind, *args = text.split(":")
+    kind = _BASE_ALIASES.get(kind, kind)
+    _arity(kind, args, {"symmetric_stable": 1, "atomic_series": 1})
+    params = {}
+    if kind == "symmetric_stable" and args:
+        params["stable_index"] = float(args[0])
+    if kind == "atomic_series":
+        params["atoms"] = tuple(tuple(map(float, tok.split("=")))
+                                for tok in (args or ["0.5=1.0"])[0].split(";"))
+    return BaseSM(kind, seed=cfg["seed"], **params)
 
 
-# types of the shared flags; they default to None so the config file can fill them
-_COMMON = {
-    "model": str, "level": int, "blowup": int, "depth": int, "seed": int,
-    "boundary": str, "out": str, "base": str,
+def _sigma(text: str, cfg: dict):
+    from .paramint import sigma_preset
+    return sigma_preset(text.removeprefix("preset:"), cfg["model"], cfg["T"])
+
+
+def _f(text: str, cfg: dict):
+    from .solver import f_preset
+    name, *args = text.split(":")
+    _arity(name, args, {"sin": 1, "const": 1})
+    return f_preset(name, *map(float, args), T=cfg["T"])
+
+
+def _u0(text: str, cfg: dict):
+    from .solver import u0_preset
+    name, *args = text.split(":")
+    _arity(name, args, {"bump": 2})
+    if name != "bump":
+        return u0_preset(name)
+    if args[:1] not in ([], ["center"]):
+        raise ValidationError("use bump[:center[:<width>]]")
+    return u0_preset(name, bump_center(cfg["model"], cfg["blowup"]), *map(float, args[1:]))
+
+
+def _choice(*names: str):
+    def parse(text: str, cfg: dict) -> str:
+        if text not in names:
+            raise ValidationError(f"not one of {names}")
+        return text
+    return parse
+
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _boolean(text: str, cfg: dict) -> bool:
+    if text.lower() not in _BOOLEANS:
+        raise ValidationError("not true/false, yes/no or 1/0")
+    return _BOOLEANS[text.lower()]
+
+
+def _x_ids(text: str, cfg: dict):
+    text = text.strip()
+    if text.startswith("[") and text.endswith("]"):    # the list form earlier versions echoed
+        text = text[1:-1]
+    return [int(tok) for tok in text.split(",")] if text else None
+
+
+def _suite(text: str, cfg: dict) -> str:
+    from .verify import check_names
+    check_names(text)
+    return text
+
+
+class _Option(NamedTuple):
+    default: str | None      # text; None leaves the option unset
+    parse: Callable          # (text, the values parsed above it) -> value
+    commands: str            # the subcommands with a --flag for it
+    help: str | None = None
+    const: str | None = None  # a flag without a value that sets this text
+
+
+# The run defaults shared with the library, as text.
+_SPEC = {f.name: str(f.default) for f in dataclasses.fields(ProblemSpec)}
+
+# Parsed in this order; a parser may read the values above it: base reads
+# seed, sigma and f read model and T, u0 reads model and blowup.
+_OPTIONS = {
+    "model": _Option("vicsek", _model, "model kernel sm eta solve"),
+    "level": _Option(_SPEC["level"], lambda text, cfg: _int(text, 0, 8),
+                     "model kernel eta solve"),
+    "blowup": _Option(_SPEC["blowup"], lambda text, cfg: _int(text, 0, 4),
+                      "model kernel sm eta solve"),
+    "depth": _Option(_SPEC["depth"], lambda text, cfg: _int(text, 0, 12), "sm eta solve"),
+    "seed": _Option("0", lambda text, cfg: _int(text, 0), "sm eta solve"),
+    "base": _Option("gaussian", _base, "sm eta solve"),
+    "boundary": _Option(_SPEC["boundary"], _choice("reflecting", "dirichlet"),
+                        "kernel eta solve"),
+    "out": _Option(None, lambda text, cfg: text, "model kernel sm eta solve verify"),
+    "T": _Option(_SPEC["T"], lambda text, cfg: _positive(text), "eta solve"),
+    "sigma": _Option("smooth", _sigma, "eta solve"),
+    "f": _Option("sin:0.5", _f, "solve"),
+    "u0": _Option("bump", _u0, "solve"),
+    "steps": _Option(_SPEC["n_steps"], lambda text, cfg: _int(text, 2, 4096), "solve"),
+    "override_gate": _Option(_SPEC["override_gate"], _boolean, "solve", const="True"),
+    "times": _Option(None, lambda text, cfg: parse_times(text), "kernel eta"),
+    "format": _Option("csv", _choice("csv", "binary"), "kernel"),
+    "x_ids": _Option(None, _x_ids, "kernel", help="comma list of row ids to export"),
+    "suite": _Option("quick", _suite, "verify",
+                     help="quick, full, or comma list of check names (may be empty)"),
 }
-
-
-def _add_common(p: argparse.ArgumentParser, keys):
-    for key in keys:
-        p.add_argument(f"--{key.replace('_', '-')}", type=_COMMON[key], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,105 +205,47 @@ def build_parser() -> argparse.ArgumentParser:
                                  description=__doc__.splitlines()[0])
     ap.add_argument("--config", help="INI config file (flags override it)")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    pm = sub.add_parser("model", help="build a model and export its vertex set")
-    _add_common(pm, ["model", "level", "blowup", "out"])
-
-    pk = sub.add_parser("kernel", help="heat kernel table on a time grid")
-    _add_common(pk, ["model", "level", "blowup", "boundary", "out"])
-    pk.add_argument("--times", default=None)
-    pk.add_argument("--format", choices=["csv", "binary"], default=None)
-    pk.add_argument("--x-ids", default=None, help="comma list of row ids to export")
-
-    psm = sub.add_parser("sm", help="stochastic measure operations")
-    psm.add_argument("action", choices=["sample"])
-    _add_common(psm, ["model", "blowup", "depth", "seed", "base", "out"])
-
-    pe = sub.add_parser("eta", help="stochastic parameter integral on a z grid")
-    _add_common(pe, ["model", "level", "blowup", "depth", "seed", "base",
-                     "boundary", "out"])
-    pe.add_argument("--sigma", default=None)
-    pe.add_argument("--times", default=None)
-    pe.add_argument("--T", type=float, default=None)
-
-    ps = sub.add_parser("solve", help="Picard solve of the mild equation")
-    _add_common(ps, ["model", "level", "blowup", "depth", "seed", "base",
-                     "boundary", "out"])
-    ps.add_argument("--sigma", default=None)
-    ps.add_argument("--f", default=None)
-    ps.add_argument("--u0", default=None)
-    ps.add_argument("--T", type=float, default=None)
-    ps.add_argument("--steps", type=int, default=None)
-    ps.add_argument("--override-gate", action="store_true", default=None)
-
-    pv = sub.add_parser("verify", help="run the named check suite")
-    pv.add_argument("--suite", default=None,
-                    help="quick, full, or comma list of check names (may be empty)")
-    pv.add_argument("--out", default=None)
+    for command, handler in _HANDLERS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
+        if command == "sm":
+            p.add_argument("action", choices=["sample"])
+        for key, opt in _OPTIONS.items():
+            if command in opt.commands.split():
+                switch = {"action": "store_const", "const": opt.const} if opt.const else {}
+                p.add_argument(f"--{key.replace('_', '-')}", help=opt.help, **switch)
     return ap
 
 
-_DEFAULTS = {
-    "model": "vicsek", "level": 3, "blowup": 0, "depth": 5, "seed": 0,
-    "boundary": "reflecting", "base": "gaussian", "sigma": "smooth",
-    "f": "sin:0.5", "u0": "bump", "T": 1.0, "steps": 64, "times": None,
-    "format": "csv", "x_ids": None, "suite": "quick", "out": None,
-    "override_gate": False,
-}
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit CLI flags."""
-    cfg = dict(_DEFAULTS)
+def resolve_config(args: argparse.Namespace) -> tuple[dict, dict]:
+    """The option texts, defaults < config file < explicit CLI flags, and
+    their values, each parsed once in table order."""
+    texts = {key: opt.default for key, opt in _OPTIONS.items()}
     if args.config:
-        cp = configparser.ConfigParser()
-        if not cp.read(args.config):
-            raise ValidationError(f"cannot read config file {args.config!r}")
+        cp = configparser.ConfigParser(interpolation=None)   # texts as written, '%' too
+        try:
+            if not cp.read(args.config):
+                raise ValidationError(f"cannot read config file {args.config!r}")
+        except configparser.Error as exc:
+            raise ValidationError(f"malformed config file {args.config!r}: {exc}") from None
         # configparser lowercases option names, so keys match case-blind
-        names = {k.lower(): k for k in cfg}
+        names = {k.lower(): k for k in _OPTIONS}
         for section in cp.sections():
             for key, val in cp[section].items():
                 key = key.replace("-", "_")
                 if key not in names:
                     raise ValidationError(f"unknown config key {key!r}")
-                cfg[names[key]] = val
-    for key, val in vars(args).items():
-        if val is not None:
-            cfg[key] = val
-    # normalize types that may arrive as strings from the config file
-    for key in ("level", "blowup", "depth", "seed", "steps"):
-        cfg[key] = int(cfg[key])
-    for key in ("T",):
-        cfg[key] = float(cfg[key])
-    gate = str(cfg["override_gate"]).lower()
-    if gate not in _BOOLEANS:
-        raise ValidationError(f"override_gate={gate!r} is not true/false, yes/no or 1/0")
-    cfg["override_gate"] = _BOOLEANS[gate]
-    for key, rng in (("level", (0, 8)), ("blowup", (0, 4)), ("depth", (0, 12)),
-                     ("steps", (2, 4096))):
-        if not rng[0] <= cfg[key] <= rng[1]:
-            raise ValidationError(f"{key}={cfg[key]} outside {rng}")
-    if cfg["T"] <= 0:
-        raise ValidationError("T must be positive")
-    if cfg["command"] in ("sm", "eta", "solve") and cfg["depth"] < cfg["blowup"]:
-        raise ValidationError(f"depth={cfg['depth']} below blowup={cfg['blowup']}")
-    if cfg["boundary"] not in ("reflecting", "dirichlet"):
-        raise ValidationError(f"unknown boundary {cfg['boundary']!r}")
-    if cfg["format"] not in ("csv", "binary"):
-        raise ValidationError(f"unknown format {cfg['format']!r}")
-    if cfg["x_ids"]:
-        text = cfg["x_ids"].strip()
-        if text.startswith("[") and text.endswith("]"):    # echoed list form
-            text = text[1:-1]
+                texts[names[key]] = val
+    for key in _OPTIONS:
+        if getattr(args, key, None) is not None:
+            texts[key] = getattr(args, key)
+    cfg = {}
+    for key, opt in _OPTIONS.items():
+        text = texts[key]
         try:
-            cfg["x_ids"] = [int(tok) for tok in text.split(",")]
-        except ValueError:
-            raise ValidationError(
-                f"x_ids={cfg['x_ids']!r} is not a comma list of integers") from None
-    else:
-        cfg["x_ids"] = None
-    return cfg
+            cfg[key] = None if text is None else opt.parse(text, cfg)
+        except (ValueError, SolverError, ParamIntegralError) as exc:
+            raise ValidationError(f"bad {key} {text!r}: {exc}") from None
+    return texts, cfg
 
 
 def _outdir(cfg: dict) -> str:
@@ -254,11 +254,10 @@ def _outdir(cfg: dict) -> str:
     return out
 
 
-def _echo_config(cfg: dict, out: str) -> str:
+def _echo_config(texts: dict, out: str) -> str:
     path = os.path.join(out, "config_resolved.ini")
-    cp = configparser.ConfigParser()
-    cp["run"] = {k: repr(v) if not isinstance(v, str) else v
-                 for k, v in sorted(cfg.items()) if v is not None and k in _DEFAULTS}
+    cp = configparser.ConfigParser(interpolation=None)
+    cp["run"] = {k: v for k, v in sorted(texts.items()) if v is not None}
     with open(path, "w", encoding="utf-8") as f:
         cp.write(f)
     return path
@@ -277,9 +276,15 @@ def _write_manifest(out: str, files) -> str:
     return path
 
 
+def _check_depth(cfg: dict) -> None:
+    if cfg["depth"] < cfg["blowup"]:
+        raise ValidationError(f"depth={cfg['depth']} below blowup={cfg['blowup']}")
+
+
 def cmd_model(cfg: dict) -> list[str]:
+    """build a model and export its vertex set"""
     from .geometry import measure_weights, vertex_set
-    model = _resolve_model(cfg["model"])
+    model = cfg["model"]
     vs = vertex_set(model, cfg["level"], cfg["blowup"])
     out = _outdir(cfg)
     vs.to_csv(os.path.join(out, "vertices.csv"), measure_weights(vs))
@@ -293,15 +298,14 @@ def cmd_model(cfg: dict) -> list[str]:
 
 
 def cmd_kernel(cfg: dict) -> list[str]:
+    """heat kernel table on a time grid"""
     from .geometry import vertex_set
     from .kernel import DENSE_TABLE_LIMIT, build_generator, kernel, scaling_window
-    model = _resolve_model(cfg["model"])
-    times = parse_times(cfg["times"]) if cfg["times"] else None
-    lo, hi = scaling_window(model, cfg["level"], cfg["blowup"])
-    if times is None and lo >= hi:
+    lo, hi = scaling_window(cfg["model"], cfg["level"], cfg["blowup"])
+    if cfg["times"] is None and lo >= hi:
         raise ValidationError(f"the default time grid, the scaling window [{lo:g}, {hi:g}], "
                               f"is empty at level {cfg['level']}; pass --times")
-    vs = vertex_set(model, cfg["level"], cfg["blowup"])
+    vs = vertex_set(cfg["model"], cfg["level"], cfg["blowup"])
     gen = build_generator(vs, boundary=cfg["boundary"])
     x_ids = cfg["x_ids"]
     V = len(gen.kept)
@@ -310,7 +314,7 @@ def cmd_kernel(cfg: dict) -> list[str]:
     if cfg["format"] == "binary" and V > DENSE_TABLE_LIMIT:
         raise ValidationError(f"V = {V} vertices is above the binary export "
                               f"limit {DENSE_TABLE_LIMIT}")
-    tab = kernel(gen, times=times)
+    tab = kernel(gen, times=cfg["times"])
     out = _outdir(cfg)
     files = []
     if cfg["format"] == "binary":
@@ -327,32 +331,29 @@ def cmd_kernel(cfg: dict) -> list[str]:
 
 
 def cmd_sm(cfg: dict) -> list[str]:
+    """stochastic measure operations"""
     from .measure import realize, write_realization
-    model = _resolve_model(cfg["model"])
-    base = _parse_base(cfg["base"], cfg["seed"])
-    real = realize(base, model, cfg["blowup"], cfg["depth"])
+    _check_depth(cfg)
+    real = realize(cfg["base"], cfg["model"], cfg["blowup"], cfg["depth"])
     out = _outdir(cfg)
     write_realization(real, os.path.join(out, "realization.txt"))
     return ["realization.txt"]
 
 
 def cmd_eta(cfg: dict) -> list[str]:
+    """stochastic parameter integral on a z grid"""
     import numpy as np
 
     from .geometry import vertex_set
     from .kernel import HeatKernel, build_generator, scaling_window
     from .measure import realize
     from .paramint import HFunction, eval_eta
-    model = _resolve_model(cfg["model"])
-    T = cfg["T"]
-    sigma = _parse_sigma(cfg["sigma"], model, T)
+    _check_depth(cfg)
+    model, T, sigma, times = cfg["model"], cfg["T"], cfg["sigma"], cfg["times"]
     if not sigma.smooth_on(model):
         raise ValidationError(f"sigma {sigma.name!r}: Hoelder exponent {sigma.holder_exp} "
                               f"is not above d_f/2 = {model.d_f / 2:.4f}")
-    base = _parse_base(cfg["base"], cfg["seed"])
-    if cfg["times"]:
-        times = parse_times(cfg["times"])
-    else:
+    if times is None:
         lo, hi = scaling_window(model, cfg["level"], cfg["blowup"])
         times = np.geomspace(lo, min(hi, T), 8)
     if times.max() > T:
@@ -360,7 +361,7 @@ def cmd_eta(cfg: dict) -> list[str]:
     vs = vertex_set(model, cfg["level"], cfg["blowup"])
     kern = HeatKernel(build_generator(vs, boundary=cfg["boundary"]))
     hf = HFunction(kern, sigma, T=T)
-    real = realize(base, model, cfg["blowup"], cfg["depth"])
+    real = realize(cfg["base"], model, cfg["blowup"], cfg["depth"])
     ev = eval_eta(hf, real, times, n_max=cfg["depth"])
     out = _outdir(cfg)
     ev.to_csv(os.path.join(out, "eta.csv"))
@@ -369,18 +370,14 @@ def cmd_eta(cfg: dict) -> list[str]:
 
 
 def cmd_solve(cfg: dict) -> list[str]:
+    """Picard solve of the mild equation"""
     from .measure import write_realization
-    from .solver import ProblemSpec, picard_solve, prepare
-    model = _resolve_model(cfg["model"])
-    T = cfg["T"]
+    from .solver import picard_solve, prepare
+    _check_depth(cfg)
     spec = ProblemSpec(
-        model, level=cfg["level"], blowup=cfg["blowup"], boundary=cfg["boundary"],
-        T=T, n_steps=cfg["steps"],
-        u0=_parse_u0(cfg["u0"], model, cfg["blowup"]),
-        f=_parse_f(cfg["f"], T),
-        sigma=_parse_sigma(cfg["sigma"], model, T),
-        base=_parse_base(cfg["base"], cfg["seed"]),
-        depth=cfg["depth"], override_gate=bool(cfg["override_gate"]))
+        cfg["model"], level=cfg["level"], blowup=cfg["blowup"], boundary=cfg["boundary"],
+        T=cfg["T"], n_steps=cfg["steps"], u0=cfg["u0"], f=cfg["f"], sigma=cfg["sigma"],
+        base=cfg["base"], depth=cfg["depth"], override_gate=cfg["override_gate"])
     prob = prepare(spec)
     sol = picard_solve(prob)
     out = _outdir(cfg)
@@ -407,6 +404,7 @@ class FailedWithArtifacts(RuntimeError):
 
 
 def cmd_verify(cfg: dict) -> list[str]:
+    """run the named check suite"""
     from .verify import run_verify
     report = run_verify(cfg["suite"])
     out = _outdir(cfg)
@@ -436,27 +434,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = resolve_config(args)
-        handler = _HANDLERS[args.command]
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        files = handler(cfg)
+        texts, cfg = resolve_config(args)
+        files = _HANDLERS[args.command](cfg)
     except (ValidationError, KernelSizeError, AssumptionGateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FailedWithArtifacts as exc:
         print(f"error: {exc}", file=sys.stderr)
         out = _outdir(cfg)
-        exc.files.append(os.path.basename(_echo_config(cfg, out)))
+        exc.files.append(os.path.basename(_echo_config(texts, out)))
         _write_manifest(out, exc.files)
         return EXIT_COMPUTE
     except Exception as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     out = _outdir(cfg)
-    files.append(os.path.basename(_echo_config(cfg, out)))
+    files.append(os.path.basename(_echo_config(texts, out)))
     _write_manifest(out, files)
     return EXIT_OK
 

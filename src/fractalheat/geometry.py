@@ -55,12 +55,13 @@ class GeometryError(ValueError):
     """Raised for invalid model data, addresses, or graph construction failures."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractalModel:
     """An equal-ratio IFS with its derived walk/spectral/fractal dimensions.
 
     Construction checks it and derives essential_indices (Lindstrom, Mem. AMS
     420, 1990).  Immutable after construction; safe to share across threads.
+    Models compare and hash by identity, so a model can key a dict.
     """
 
     name: str

@@ -590,15 +590,19 @@ class HeatKernelTable:
 
 
 def kernel(gen: GeneratorMatrix, times: np.ndarray | None = None) -> HeatKernelTable:
-    """Evaluate the heat semigroup on a positive, sorted time grid (default:
-    the scaling window on a log grid), checked before the kernel is factored."""
+    """Evaluate the heat semigroup on a positive, finite, strictly increasing
+    time grid (default: the scaling window on a log grid, which needs a vertex
+    set), checked before the kernel is factored."""
     if times is None:
+        if gen.vs is None:
+            raise KernelError("a generator without a vertex set has no default "
+                              "time grid; pass times")
         lo, hi = scaling_window(gen.model, gen.level, gen.vs.blowup)
         times = log_time_grid(lo, hi)
     times = np.asarray(times, dtype=float)
-    if np.any(times <= 0):
-        raise KernelError("time grid must be positive")
-    if np.any(np.diff(times) <= 0):
+    if not np.all(np.isfinite(times) & (times > 0)):
+        raise KernelError("time grid must be positive and finite")
+    if not np.all(np.diff(times) > 0):
         raise KernelError("time grid must be strictly increasing")
     hk = HeatKernel(gen)
     diag = hk.diag_density(times)

@@ -71,6 +71,8 @@ class BaseSM:
         object.__setattr__(self, "atoms", tuple((float(x), float(c)) for x, c in self.atoms))
         if not all(0 < x <= 1 for x, _ in self.atoms):
             raise MeasureError("atom positions must lie in (0, 1]")
+        if not all(math.isfinite(c) for _, c in self.atoms):
+            raise MeasureError("atom coefficients must be finite")
 
     @property
     def atomless(self) -> bool:

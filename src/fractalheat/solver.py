@@ -49,6 +49,7 @@ __all__ = [
     "AssumptionGateError",
     "f_preset",
     "u0_preset",
+    "bump_center",
     "prepare",
     "predicted_iterations",
     "assumption_gate",
@@ -99,6 +100,8 @@ class InitialCondition:
 
 def f_preset(name: str, c: float = 0.5, T: float = 1.0) -> Nonlinearity:
     """sin:<c> (c sin(r), C_f = K_f = c), zero, const:<c>, time_linear (= s)."""
+    if not math.isfinite(c):
+        raise SolverError(f"nonlinearity constant c = {c} is not finite")
     if name == "sin":
         return Nonlinearity(lambda s, pts, r: c * np.sin(r), c, c, f"sin:{c}")
     if name == "zero":
@@ -119,12 +122,20 @@ def u0_preset(name: str, center=None, width: float = 0.18) -> InitialCondition:
     if name == "one":
         return InitialCondition(lambda pts: np.ones(len(pts)), 1.0, "one")
     if name == "bump":
+        if not (math.isfinite(width) and width > 0):
+            raise SolverError(f"bump width {width} is not positive and finite")
         c = np.asarray([0.5, 0.5] if center is None else center, dtype=float)
 
         def fn(pts, _c=c, _w=width):
             return np.exp(-np.sum((pts - _c) ** 2, axis=1) / (2 * _w * _w))
         return InitialCondition(fn, 1.0, f"bump:{width}")
     raise SolverError(f"unknown initial condition preset {name!r}")
+
+
+def bump_center(model: FractalModel, blowup: int) -> np.ndarray:
+    """Centre of the default bump u0: the mean fixed point, scaled to the
+    blow-up domain alpha^blowup E."""
+    return model.fixed_points.mean(axis=0) * model.alpha ** blowup
 
 
 @dataclass
@@ -148,8 +159,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.u0 is None:
-            self.u0 = u0_preset("bump", center=self.model.fixed_points.mean(axis=0)
-                                * self.model.alpha ** self.blowup)
+            self.u0 = u0_preset("bump", center=bump_center(self.model, self.blowup))
         if self.f is None:
             self.f = f_preset("sin", 0.5)
         if self.sigma is None:

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -38,13 +38,13 @@ G1_SLACK = 1e-6
 
 @dataclass
 class CheckResult:
-    name: str
     passed: bool
     measured: str
     target: str
     tolerance: str
-    seconds: float
     detail: str = ""
+    name: str = field(init=False, default="")        # the registry key, set by run_verify
+    seconds: float = field(init=False, default=0.0)  # wall time, set by run_verify
 
 
 @dataclass
@@ -130,7 +130,6 @@ def _ds_case(name: str, level: int, blowup: int):
 
 
 def check_spectral_dimension() -> CheckResult:
-    t0 = time.time()
     lines, ok = [], True
     t_v = time.time()
     got, want = _ds_case("vicsek", 4, 0)
@@ -144,15 +143,13 @@ def check_spectral_dimension() -> CheckResult:
     ok &= abs(got_g - want_g) <= DS_TOL and dt_g < 120
     lines.append(f"gasket level 6 blowup 2: d_s={got_g:.5f} target={want_g:.5f} "
                  f"err={got_g - want_g:+.5f} ({dt_g:.1f}s)")
-    return CheckResult("spectral_dimension", bool(ok),
-                       f"errors {got - want:+.4f} / {got_g - want_g:+.4f}",
+    return CheckResult(bool(ok), f"errors {got - want:+.4f} / {got_g - want_g:+.4f}",
                        "log25/log15 and log9/log5", f"+-{DS_TOL}, <120s each",
-                       time.time() - t0, "\n".join(lines))
+                       "\n".join(lines))
 
 
 def check_kernel_holder() -> CheckResult:
     from .kernel import verify_holder
-    t0 = time.time()
     model = _model("vicsek")
     fit = verify_holder(_table("vicsek", 4, 0), model)
     target = model.d_w - model.d_f
@@ -162,13 +159,11 @@ def check_kernel_holder() -> CheckResult:
     detail = (f"exponent {fit.exponent:.4f} (exact target {target:.1f}), "
               f"c1={fit.c1:.3f}, c1 range {min(c1s):.3f}..{max(c1s):.3f} "
               f"(x2-stable: {stable}), {fit.n_pairs} pairs")
-    return CheckResult("kernel_holder_exponent", bool(ok),
-                       f"exponent {fit.exponent:.4f}", f">= {HOLDER_MIN} (target 1.0)",
-                       "fit over cell-sharing pairs", time.time() - t0, detail)
+    return CheckResult(bool(ok), f"exponent {fit.exponent:.4f}", f">= {HOLDER_MIN} (target 1.0)",
+                       "fit over cell-sharing pairs", detail)
 
 
 def check_kernel_structure(levels=(2, 3, 4)) -> CheckResult:
-    t0 = time.time()
     lines, worst = [], {"sym": 0.0, "ck": 0.0, "mass": 0.0, "bal": 0.0}
     for lvl in levels:
         kern = _kernel_op("vicsek", lvl)
@@ -182,18 +177,17 @@ def check_kernel_structure(levels=(2, 3, 4)) -> CheckResult:
                      f"balance={bal:.2e}")
     ok = (worst["sym"] <= KERNEL_TOL and worst["ck"] <= KERNEL_TOL
           and worst["mass"] <= KERNEL_TOL and worst["bal"] <= BALANCE_TOL)
-    return CheckResult("kernel_structure", bool(ok),
+    return CheckResult(bool(ok),
                        f"sym {worst['sym']:.1e}, ck {worst['ck']:.1e}, "
                        f"mass {worst['mass']:.1e}, balance {worst['bal']:.1e}",
                        "all semigroup identities",
                        f"{KERNEL_TOL:.0e} (balance {BALANCE_TOL:.0e})",
-                       time.time() - t0, "\n".join(lines))
+                       "\n".join(lines))
 
 
 def check_measure_consistency(n_seeds: int = 10000, n_lemma_seeds: int = 100) -> CheckResult:
     from .geometry import CellAddress
     from .measure import BaseSM, LevelIndicatorFamily, lemma22_diagnostic, realize
-    t0 = time.time()
     model = _model("vicsek")
     gask = _model("gasket")
     # additivity over >= 10000 parent nodes across several deep realizations
@@ -218,19 +212,18 @@ def check_measure_consistency(n_seeds: int = 10000, n_lemma_seeds: int = 100) ->
     detail = (f"additivity gap {gap:.2e} over {nodes} nodes; depth-3 variance "
               f"{var:.6f} vs {target_var:.6f} ({abs(var / target_var - 1) * 100:.2f}%); "
               f"lemma-2.2 plateau {plats}/{n_lemma_seeds} seeds (beta=0.75, gasket)")
-    return CheckResult("measure_consistency", bool(ok),
+    return CheckResult(bool(ok),
                        f"gap {gap:.1e}, var off {abs(var / target_var - 1) * 100:.2f}%, "
                        f"plateau {plats}/{n_lemma_seeds}",
                        "exact additivity, N^-n variance, plateau",
                        f"{ADDITIVITY_TOL:.0e}, {VARIANCE_RTOL * 100:.0f}%, >=95%",
-                       time.time() - t0, detail)
+                       detail)
 
 
 def check_eta_convergence(n_seeds: int = 50, level: int = 3, depth: int = 6,
                           holder_level: int = 4) -> CheckResult:
     from .measure import BaseSM, realize
     from .paramint import estimate_h_holder, eval_eta
-    t0 = time.time()
     model = _model("vicsek")
     hf = _hfunction("vicsek", level)
     times = np.geomspace(0.02, 0.5, 4)
@@ -251,11 +244,10 @@ def check_eta_convergence(n_seeds: int = 50, level: int = 3, depth: int = 6,
     detail = (f"decreasing increments {good}/{n_seeds} seeds (median ratio "
               f"{np.median(ratios):.3f}); h-Hoelder exponent {expo:.4f} "
               f"(> d_f/2 = {thresh:.4f}, >= {H_HOLDER_MIN}, target 1.0)")
-    return CheckResult("eta_convergence", bool(ok),
+    return CheckResult(bool(ok),
                        f"{good}/{n_seeds} decreasing, exponent {expo:.3f}",
                        f">= {need}/{n_seeds} and exponent >= 0.85, > 0.7325",
-                       "median ratio < 1 over last 3 levels",
-                       time.time() - t0, detail)
+                       "median ratio < 1 over last 3 levels", detail)
 
 
 def _picard_problem(level: int, depth: int, seed: int):
@@ -294,30 +286,26 @@ def check_picard_contraction(level: int = 3, depth: int = 5) -> CheckResult:
               f"(converged {sol.converged}); g1 linear bound {g1_ok}; factorial "
               f"bound worst ratio {worst:.3f}; derived chain {derived_ok}; "
               f"runtime {dt:.1f}s")
-    return CheckResult("picard_contraction", bool(ok),
-                       f"{sol.iterations} iters, worst factorial ratio {worst:.3f}",
+    return CheckResult(bool(ok), f"{sol.iterations} iters, worst factorial ratio {worst:.3f}",
                        "g1 <= 2 C_f t + 1e-6; g_n(T) <= printed bound x1.1; <= 10 iters",
-                       f"slack {FACTORIAL_SLACK}, < 300 s", dt, detail)
+                       f"slack {FACTORIAL_SLACK}, < 300 s", detail)
 
 
 def check_uniqueness() -> CheckResult:
     from .solver import uniqueness_check
-    t0 = time.time()
     worst = 0.0
     for s in range(10):
         prob = _picard_problem(2, 4, seed=s)
         worst = max(worst, uniqueness_check(prob))
     ok = worst <= UNIQUENESS_TOL
-    return CheckResult("uniqueness", bool(ok), f"sup diff {worst:.2e}",
+    return CheckResult(bool(ok), f"sup diff {worst:.2e}",
                        "same fixed point from two starts",
                        f"<= {UNIQUENESS_TOL:.0e}, 10 seeds",
-                       time.time() - t0,
                        f"worst sup-norm difference over 10 seeds: {worst:.3e}")
 
 
 def check_assumption_gate() -> CheckResult:
     from .solver import assumption_gate
-    t0 = time.time()
     ok_v = assumption_gate(_picard_problem(2, 3, seed=0)).passed
     # end-to-end CLI refusal on the gasket
     with tempfile.TemporaryDirectory() as tmp:
@@ -329,31 +317,28 @@ def check_assumption_gate() -> CheckResult:
     ok = ok_v and refused
     detail = (f"vicsek gate pass: {ok_v}; gasket CLI exit {proc.returncode} "
               f"(want 2) with message: {proc.stderr.strip().splitlines()[0] if proc.stderr else ''}")
-    return CheckResult("assumption_gate", bool(ok),
+    return CheckResult(bool(ok),
                        f"vicsek {'pass' if ok_v else 'fail'}, gasket exit {proc.returncode}",
                        "vicsek passes, gasket refused (d_s = log9/log5 > 4/3)",
-                       "CLI exit code 2 + diagnostic", time.time() - t0, detail)
+                       "CLI exit code 2 + diagnostic", detail)
 
 
 def check_mild_residual() -> CheckResult:
     from .solver import mild_residual, picard_solve
-    t0 = time.time()
     worst = 0.0
     for s in range(5):
         prob = _picard_problem(2, 4, seed=s)
         sol = picard_solve(prob)
         worst = max(worst, mild_residual(prob, sol))
     ok = worst <= RESIDUAL_TOL
-    return CheckResult("mild_residual", bool(ok), f"max residual {worst:.2e}",
+    return CheckResult(bool(ok), f"max residual {worst:.2e}",
                        "fixed point reproduces itself",
                        f"<= {RESIDUAL_TOL:.0e} (2 x combined tolerances)",
-                       time.time() - t0,
                        f"worst grid-point residual over 5 seeds: {worst:.3e}")
 
 
 def check_reproducibility() -> CheckResult:
     import hashlib
-    t0 = time.time()
     digests = []
     with tempfile.TemporaryDirectory() as tmp:
         for run in ("a", "b"):
@@ -364,9 +349,8 @@ def check_reproducibility() -> CheckResult:
                  "--out", out],
                 capture_output=True, text=True, timeout=600)
             if proc.returncode != 0:
-                return CheckResult("reproducibility", False,
-                                   f"solve exit {proc.returncode}", "exit 0", "",
-                                   time.time() - t0, proc.stderr[-400:])
+                return CheckResult(False, f"solve exit {proc.returncode}", "exit 0", "",
+                                   proc.stderr[-400:])
             # one digest over the three files in sequence
             h = hashlib.sha256()
             for name in ("solution.csv", "diagnostics.csv", "realization.txt"):
@@ -374,17 +358,15 @@ def check_reproducibility() -> CheckResult:
                     hashlib.file_digest(fh, lambda: h)
             digests.append(h.hexdigest())
     ok = digests[0] == digests[1]
-    return CheckResult("reproducibility", bool(ok),
-                       f"digests {'match' if ok else 'differ'}",
+    return CheckResult(bool(ok), f"digests {'match' if ok else 'differ'}",
                        "byte-identical artifacts", "sha256 equality",
-                       time.time() - t0, f"sha256: {digests[0][:16]}... vs {digests[1][:16]}...")
+                       f"sha256: {digests[0][:16]}... vs {digests[1][:16]}...")
 
 
 # quick-suite variants
 
 def quick_geometry() -> CheckResult:
     from .geometry import CellAddress, apply_word, check_assumption1, measure_weights
-    t0 = time.time()
     model = _model("vicsek")
     counts = [_vertex_set("vicsek", n).n_vertices for n in range(4)]
     ok = counts == [4, 16, 76, 376]
@@ -393,19 +375,16 @@ def quick_geometry() -> CheckResult:
     ok &= abs(w.total - 1) < 1e-12
     ok &= bool(np.allclose(apply_word(model, CellAddress((1,)), [1.0, 1.0]),
                            [1 / 3, 1 / 3]))
-    return CheckResult("quick_geometry", bool(ok), f"counts {counts}, k=4",
-                       "recurrence 5V-4, Assumption-1 k", "exact",
-                       time.time() - t0)
+    return CheckResult(bool(ok), f"counts {counts}, k=4",
+                       "recurrence 5V-4, Assumption-1 k", "exact")
 
 
 def quick_spectral() -> CheckResult:
     from .kernel import estimate_spectral_dimension
-    t0 = time.time()
     est = estimate_spectral_dimension(_table("vicsek", 3, 0))
     err = est.d_s - _model("vicsek").d_s
-    return CheckResult("quick_spectral", bool(abs(err) <= DS_TOL),
-                       f"d_s err {err:+.4f}", "log25/log15", f"+-{DS_TOL}",
-                       time.time() - t0)
+    return CheckResult(bool(abs(err) <= DS_TOL), f"d_s err {err:+.4f}", "log25/log15",
+                       f"+-{DS_TOL}")
 
 
 CHECKS = {
@@ -438,23 +417,28 @@ SUITES = {
 }
 
 
-def run_verify(suite: str = "quick") -> VerifyReport:
-    """Run a named suite or a comma list of check names (possibly empty); each
-    result carries its registry name."""
+def check_names(suite: str) -> list[str]:
+    """The checks of a named suite or a comma list of check names (possibly
+    empty); ValueError on an unknown name."""
     if suite in SUITES:
-        names = SUITES[suite]
-    else:
-        names = [tok for tok in (suite or "").split(",") if tok]
-        unknown = [n for n in names if n not in CHECKS]
-        if unknown:
-            raise ValueError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
+        return SUITES[suite]
+    names = [tok for tok in suite.split(",") if tok]
+    unknown = [n for n in names if n not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
+    return names
+
+
+def run_verify(suite: str = "quick") -> VerifyReport:
+    """Run a suite (see check_names); each result carries its registry name
+    and its wall time."""
     results = []
-    for name in names:
+    for name in check_names(suite):
         t0 = time.time()
         try:
             res = CHECKS[name]()
         except Exception as exc:   # a crash is a failure, never an abort
-            res = CheckResult(name, False, f"crashed: {exc}", "", "", time.time() - t0)
-        res.name = name
+            res = CheckResult(False, f"crashed: {exc}", "", "")
+        res.name, res.seconds = name, time.time() - t0
         results.append(res)
     return VerifyReport(suite, results)

@@ -104,6 +104,41 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--times", "nan"], ["kernel", "--times", "0.1:inf:lin4"],
+        ["kernel", "--times", "0.1:1:lin0"], ["kernel", "--times", "0.1:1:lin1"],
+        ["kernel", "--times", "0.1:1:log-5"], ["kernel", "--times", "0.1:1:log0"],
+        ["eta", "--T", "nan"], ["solve", "--T", "inf"], ["solve", "--seed", "-1"],
+        ["solve", "--u0", "bump:0.3"], ["solve", "--u0", "bump:center:-1"],
+        ["solve", "--u0", "bump:center:nan"], ["solve", "--u0", "one:2"],
+        ["solve", "--f", "zero:3"], ["solve", "--f", "sin:inf"], ["solve", "--f", "sin:1:2"],
+        ["solve", "--base", "gaussian:7"], ["solve", "--base", "stable:1.5:2"],
+        ["sm", "sample", "--base", "atomic:0.5=nan"], ["verify", "--suite", "nosuch"],
+    ], ids=" ".join)
+    def test_unread_or_non_finite_value_refused(self, tmp_path, monkeypatch, argv):
+        # every number finite, every text read to its end; refused while the
+        # options parse, before any vertex set is built
+        import fractalheat.geometry as geometry
+
+        def no_vertex_set(*args, **kwargs):
+            raise AssertionError("vertex set built before the options parsed")
+
+        monkeypatch.setattr(geometry, "vertex_set", no_vertex_set)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["model"], ["kernel"], ["sm", "sample"], ["eta"],
+                                         ["solve"], ["verify", "--suite", ""]], ids=" ".join)
+    @pytest.mark.parametrize("line", ["f = zero:3", "t = nan", "seed = -1"])
+    def test_shared_config_checked_for_every_command(self, tmp_path, command, line):
+        # a value a command does not read is still refused
+        cfg = tmp_path / "shared.ini"
+        cfg.write_text(f"[run]\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), *command, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["--times", "2"], ["--times", "0.5:3:lin4"],
                                       ["--T", "0.001"]], ids=" ".join)
     def test_eta_times_beyond_horizon_refused(self, tmp_path, monkeypatch, argv):
@@ -391,14 +426,43 @@ class TestArtifacts:
         (["kernel", "--level", "2", "--x-ids", "0,3"], ["kernel.csv", "kernel_diag.csv"]),
         (["eta", "--level", "2", "--depth", "3", "--T", "2.0"],
          ["eta.csv", "eta_convergence.csv"]),
+        (["model", "--level", "2", "--blowup", "1"], ["vertices.csv", "model.txt"]),
+        (["sm", "sample", "--depth", "3", "--seed", "4", "--base", "stable:1.2"],
+         ["realization.txt"]),
+        (["solve", "--level", "1", "--depth", "2", "--steps", "8", "--seed", "5",
+          "--f", "const:0.25", "--u0", "bump:center:0.3", "--override-gate"],
+         ["solution.csv", "diagnostics.csv", "realization.txt", "gate.txt"]),
+        (["verify", "--suite", ""], ["report.csv"]),
     ])
     def test_echoed_config_round_trip(self, tmp_path, args, names):
         first, second = tmp_path / "first", tmp_path / "second"
         assert main([*args, "--out", str(first)]) == EXIT_OK
         echoed = str(first / "config_resolved.ini")
-        assert main(["--config", echoed, args[0], "--out", str(second)]) == EXIT_OK
+        command = args[:2] if args[0] == "sm" else args[:1]
+        assert main(["--config", echoed, *command, "--out", str(second)]) == EXIT_OK
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+        echo = (first / "config_resolved.ini").read_text()
+        assert echo.replace(str(first), str(second)) == (
+            second / "config_resolved.ini").read_text()
+
+    def test_percent_in_value_echoed_and_replayed(self, tmp_path):
+        first, second = tmp_path / "a%b", tmp_path / "c%d"
+        assert main(["model", "--level", "1", "--out", str(first)]) == EXIT_OK
+        assert f"out = {first}\n" in (first / "config_resolved.ini").read_text()
+        assert main(["--config", str(first / "config_resolved.ini"), "model",
+                     "--out", str(second)]) == EXIT_OK
+        assert (first / "vertices.csv").read_bytes() == (second / "vertices.csv").read_bytes()
+
+    def test_bracketed_x_ids_line_replays(self, tmp_path):
+        # earlier versions echoed x_ids as a Python list
+        cfg = tmp_path / "old.ini"
+        cfg.write_text("[run]\nlevel = 2\ntimes = 0.1\nx_ids = [0, 3]\n")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["--config", str(cfg), "kernel", "--out", str(first)]) == EXIT_OK
+        assert main(["kernel", "--level", "2", "--times", "0.1", "--x-ids", "0,3",
+                     "--out", str(second)]) == EXIT_OK
+        assert (first / "kernel.csv").read_bytes() == (second / "kernel.csv").read_bytes()
 
     def test_solve_artifacts(self, tmp_path):
         rc = main(["solve", "--model", "vicsek", "--level", "2", "--depth", "3",

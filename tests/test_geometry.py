@@ -395,6 +395,13 @@ class TestConstruction:
         for m in (vicsek, gasket):
             assert m.essential_indices == _essential_by_loops(m)
 
+    def test_models_compare_and_hash_by_identity(self):
+        # array fields make a field-wise == ambiguous; identity never raises
+        a, b = build_preset("vicsek"), build_preset("vicsek")
+        assert a == a and a != b
+        cache = {a: 1, b: 2}
+        assert cache[a] == 1 and cache[b] == 2
+
 
 def _essential_by_loops(model):
     """The definition, one (x, j, y, k) quadruple at a time."""

@@ -198,6 +198,17 @@ class TestKernelTable:
         with pytest.raises(KernelError):
             kernel(gen, times=np.array([0.2, 0.1]))
 
+    @pytest.mark.parametrize("times", [[0.1, math.nan], [math.nan], [0.1, math.inf],
+                                       [0.1, math.nan, 0.2]], ids=str)
+    def test_non_finite_times_refused(self, times):
+        # NaN compares False both ways, so the sign and order tests alone pass it
+        with pytest.raises(KernelError, match="finite"):
+            kernel(_cycle_generator(16), times=times)
+
+    def test_no_default_grid_without_vertex_set(self):
+        with pytest.raises(KernelError, match="pass times"):
+            kernel(_cycle_generator(16))
+
     def test_invariants_report(self, generator_cache):
         tab = kernel(generator_cache("vicsek", 2))
         rep = tab.kernel.invariant_gaps(tab.times[len(tab.times) // 2])

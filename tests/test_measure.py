@@ -166,6 +166,11 @@ class TestAtomicBase:
         with pytest.raises(MeasureError, match="atom positions"):
             BaseSM("atomic_series", atoms=((0.5, 1.0), (x, 1.0)))
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite_coefficient_refused(self, c):
+        with pytest.raises(MeasureError, match="coefficients"):
+            BaseSM("atomic_series", atoms=((0.5, 1.0), (0.7, c)))
+
 
 class TestIntegrate:
     def test_constant_one_telescopes(self, vicsek):

@@ -15,6 +15,7 @@ from fractalheat.solver import (
     _det_field,
     _nl_field,
     assumption_gate,
+    bump_center,
     f_preset,
     mild_residual,
     picard_solve,
@@ -355,6 +356,24 @@ class TestSpecValidation:
         u0 = u0_preset("bump", center=[0.5, 0.5])
         corners = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=float)
         assert np.abs(u0(corners)).max() < 1e-3   # vanishes toward the boundary
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["sin", "const"])
+    def test_non_finite_f_constant_refused(self, name, c):
+        with pytest.raises(SolverError, match="not finite"):
+            f_preset(name, c)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.inf, math.nan])
+    def test_bump_width_positive_and_finite(self, width):
+        with pytest.raises(SolverError, match="width"):
+            u0_preset("bump", [0.5, 0.5], width)
+
+    def test_default_bump_centre(self, vicsek):
+        spec = ProblemSpec(vicsek, level=1, blowup=1, depth=1)
+        want = u0_preset("bump", center=bump_center(vicsek, 1))
+        pts = np.array([[0.0, 0.0], [1.5, 1.5], [3.0, 1.0]])
+        assert np.allclose(bump_center(vicsek, 1), [1.5, 1.5])
+        assert np.array_equal(spec.u0(pts), want(pts))
 
     def test_exports(self, sol2, tmp_path):
         sol2.to_csv(tmp_path / "u.csv")
