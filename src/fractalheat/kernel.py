@@ -20,9 +20,9 @@ Z2^k (Z2 x Z2 on Vicsek, Z2 on the gasket).  In its symmetry-adapted basis
 (Fassler & Stiefel, Group Theoretical Methods and Their Applications, 1992)
 S splits into one block per character, so the eigensolve costs the sum of
 block^3: about V^3 / 16 on Vicsek and V^3 / 4 on the gasket.  A generator
-with no verified symmetry is one block, the plain eigh of S.  Memory stays
-dense V x V (the generator, B, density matrices), so build_generator refuses
-vertex sets above DENSE_EIG_LIMIT with KernelSizeError before it allocates.
+with no verified symmetry is one block, the plain eigh of S.  L is sparse, but
+B and the density matrices are dense V x V, so build_generator refuses vertex
+sets above DENSE_EIG_LIMIT with KernelSizeError before it allocates.
 
 Diagnostics estimate the on-diagonal decay exponent (spectral dimension), the
 spatial Hoelder exponent of the kernel, and a sub-Gaussian upper envelope
@@ -59,11 +59,11 @@ __all__ = [
     "duhamel_weights",
 ]
 
-# dense budget: build_generator refuses larger vertex sets.  The generator, B
-# and every density matrix are V x V float64 (128 MB each at this size), so
-# memory sets the cap; the block eigensolve costs the sum of block^3 (V^3 / 16
-# on Vicsek, V^3 / 4 on the gasket).  Vicsek fits up to level 4 (V = 1,876;
-# level 5 has 9,376), the gasket up to level 7 (V = 3,282)
+# dense budget: build_generator refuses larger vertex sets.  B and every
+# density matrix are V x V float64 (128 MB each at this size), so memory sets
+# the cap; the block eigensolve costs the sum of block^3 (V^3 / 16 on Vicsek,
+# V^3 / 4 on the gasket).  Vicsek fits up to level 4 (V = 1,876; level 5 has
+# 9,376), the gasket up to level 7 (V = 3,282)
 DENSE_EIG_LIMIT = 4000
 # dense P(t) matrices are stored on the grid only below this size
 DENSE_TABLE_LIMIT = 600
@@ -86,15 +86,14 @@ class KernelSizeError(KernelError):
 
 @dataclass
 class GeneratorMatrix:
-    """Zero-row-sum rate matrix of the level-n walk, reflecting or Dirichlet.
-
-    Dirichlet removes the designated outer-boundary vertices (blow-up images of
-    the essential fixed points) by row/column deletion; `kept` maps the reduced
-    index back into the vertex set.
+    """Zero-row-sum rate matrix L of the level-n walk, reflecting or Dirichlet,
+    held once, sparse.  Dirichlet removes the designated outer-boundary
+    vertices (blow-up images of the essential fixed points) by row/column
+    deletion; `kept` maps the reduced index back into the vertex set.
     """
 
     vs: VertexSet
-    matrix: np.ndarray            # (V', V')
+    L: "scipy.sparse.csr_array"   # (V', V') canonical CSR: diagonal and edges
     rate: float
     boundary: str
     kept: np.ndarray              # (V',) indices into vs.points
@@ -113,6 +112,11 @@ class GeneratorMatrix:
     def points(self) -> np.ndarray:
         return self.vs.points[self.kept]
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """L as a dense (V', V') array, assembled anew on every access."""
+        return self.L.toarray()
+
     def positions(self) -> np.ndarray:
         """Kernel position of every vertex-set id; -1 for a removed vertex."""
         pos = np.full(self.vs.n_vertices, -1, dtype=np.int64)
@@ -127,6 +131,8 @@ def build_generator(vs: VertexSet, boundary: str = "reflecting") -> GeneratorMat
     exactly symmetric; other models get a warning gap recorded (the uniform
     conductance is then an approximation).
     """
+    from scipy.sparse import csr_array
+
     model = vs.model
     if boundary not in ("reflecting", "dirichlet"):
         raise KernelError(f"unknown boundary {boundary!r}")
@@ -147,20 +153,18 @@ def build_generator(vs: VertexSet, boundary: str = "reflecting") -> GeneratorMat
             raise KernelError("no designated boundary vertices found")
         kept = np.setdiff1d(kept, drop)
     deg = np.bincount(vs.edges.ravel(), minlength=V).astype(float)
-    jump = rate * (1.0 / deg)           # L[x, y] for every neighbour y of x
+    jump = (rate * (1.0 / deg))[kept]   # L[x, y] for every neighbour y of x
     pos = np.full(V, -1)
     pos[kept] = np.arange(len(kept))
-    a, b = vs.edges[(pos[vs.edges] >= 0).all(axis=1)].T
-    L = np.zeros((len(kept), len(kept)))
-    L[pos[a], pos[b]] = jump[a]
-    L[pos[b], pos[a]] = jump[b]
-    np.fill_diagonal(L, -rate)
+    ends = pos[vs.edges]
+    a, b = ends[(ends >= 0).all(axis=1)].T
+    n = len(kept)
+    # the edges are distinct pairs of distinct vertices: no entry is summed
+    L = csr_array((np.r_[jump[a], jump[b], np.full(n, -rate)],
+                   (np.r_[a, b, np.arange(n)], np.r_[b, a, np.arange(n)])), shape=(n, n))
     m = measure_weights(vs).weights[kept]
-    # m_x L[x, y] off the diagonal is nonzero on edges only
-    flux_ab, flux_ba = m[pos[a]] * jump[a], m[pos[b]] * jump[b]
-    scale = max(np.max(m * rate, initial=0.0), np.max(flux_ab, initial=0.0),
-                np.max(flux_ba, initial=0.0), 1e-300)
-    gap = float(np.max(np.abs(flux_ab - flux_ba), initial=0.0) / scale)
+    W = L.multiply(m[:, None])          # m_x L[x, y]
+    gap = float(abs(W - W.T).max() / max(abs(W).max(), 1e-300))
     return GeneratorMatrix(vs, L, rate, boundary, kept, m, gap)
 
 
@@ -242,18 +246,17 @@ def _factor_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, a[:r]
 
 
-def _reflection_group(gen: GeneratorMatrix, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _reflection_group(gen: GeneratorMatrix) -> np.ndarray:
     """Commuting reflection symmetries of a generator, as a (2^k, V') array of
     vertex permutations; row e applies the generators whose bits e sets.
 
     The candidates are the reflections in the hyperplanes bisecting pairs of
     essential fixed points (blow-up scaled), which map a nested fractal and
     its vertex graph to itself.  A candidate is kept only if it permutes the
-    kernel's points (matched within the dedup tolerance) and leaves the
-    generator's nonzeros L[i, j] and the weights exactly unchanged, and only
-    if it commutes with the reflections kept before it and lies outside the
-    group they generate.  A generator without a vertex set has the trivial
-    group.
+    kernel's points (matched within the dedup tolerance) and leaves L and the
+    weights exactly unchanged, and only if it commutes with the reflections
+    kept before it and lies outside the group they generate.  A generator
+    without a vertex set has the trivial group.
     """
     from scipy.spatial import cKDTree
 
@@ -265,14 +268,14 @@ def _reflection_group(gen: GeneratorMatrix, i: np.ndarray, j: np.ndarray) -> np.
     pts = gen.points
     tree = cKDTree(pts)
     ess = model.alpha ** gen.vs.blowup * model.essential_fixed_points
-    values = gen.matrix[i, j]
+    L = gen.L
     for a, b in itertools.combinations(ess, 2):
         n = (b - a) / np.linalg.norm(b - a)
         image = pts - 2.0 * ((pts - 0.5 * (a + b)) @ n)[:, None] * n
         dist, g = tree.query(image, distance_upper_bound=10.0 ** -DEDUP_DECIMALS)
         if not (np.all(np.isfinite(dist)) and np.array_equal(g[g], group[0])
                 and np.array_equal(gen.weights[g], gen.weights)
-                and np.array_equal(gen.matrix[g[i], g[j]], values)):
+                and (L[g][:, g] != L).nnz == 0):
             continue
         gens = group[2 ** np.arange(len(group).bit_length() - 1)]
         if (all(np.array_equal(g[h], h[g]) for h in gens)
@@ -302,11 +305,11 @@ class HeatKernel:
         self.weights = gen.weights
         self._sqrt_m = np.sqrt(self.weights)
         V = len(self.weights)
-        i, j = np.nonzero(gen.matrix != 0)
+        L = gen.L.tocoo()             # row-major order, as L is canonical CSR
         # S = (A + A^T) / 2 with A = M^{1/2} L M^{-1/2}, as a coordinate list
-        half = 0.5 * ((self._sqrt_m[i] * gen.matrix[i, j]) / self._sqrt_m[j])
-        rows, cols, vals = np.r_[i, j], np.r_[j, i], np.r_[half, half]
-        perms = _reflection_group(gen, i, j)
+        half = 0.5 * ((self._sqrt_m[L.row] * L.data) / self._sqrt_m[L.col])
+        rows, cols, vals = np.r_[L.row, L.col], np.r_[L.col, L.row], np.r_[half, half]
+        perms = _reflection_group(gen)
         ids = np.arange(V)
         rep = perms.min(axis=0)                      # orbit representative
         moved = perms[:, rep]                        # (|G|, V) images of rep
@@ -517,6 +520,11 @@ def scaling_window(model: FractalModel, level: int, blowup: int = 0) -> tuple[fl
 
 
 def log_time_grid(t_lo: float, t_hi: float, per_decade: int = 20) -> np.ndarray:
+    """Geometric grid from t_lo to t_hi, both ends included, at about
+    per_decade >= 1 points per decade; 0 < t_lo < t_hi must be finite."""
+    if not (per_decade >= 1 and 0 < t_lo < t_hi < math.inf):
+        raise KernelError(f"log time grid needs 0 < t_lo < t_hi finite and "
+                          f"per_decade >= 1, got {t_lo}, {t_hi}, {per_decade}")
     decades = math.log10(t_hi / t_lo)
     n = max(2, int(round(decades * per_decade)) + 1)
     return np.geomspace(t_lo, t_hi, n)
@@ -660,9 +668,12 @@ def estimate_spectral_dimension(table: HeatKernelTable, window=None,
                       (float(ts[0]), float(ts[-1])), int(mask.sum()), len(interior))
 
 
-def _multiscale_pairs(vs: VertexSet, rng, pairs_per_scale: int):
+def _holder_pairs(gen: GeneratorMatrix, rng, pairs_per_scale: int):
     """Vertex pairs sharing a depth-j cell for every j = 1..level, giving
-    |y1 - y2| support across ~level decades of alpha."""
+    |y1 - y2| support across ~level decades of alpha: their kernel positions
+    (n, 2) and distances (n,).  A pair goes whole if the boundary condition
+    removed an end or its ends coincide."""
+    vs = gen.vs
     model, n = vs.model, vs.level
     out = []
     ids = vs.cell_vertex_ids                       # (N^n, F0)
@@ -675,14 +686,11 @@ def _multiscale_pairs(vs: VertexSet, rng, pairs_per_scale: int):
                 continue
             a, b = rng.choice(pool, size=2, replace=False)
             out.append((int(a), int(b)))
-    return out
-
-
-def _kept_pairs(gen: GeneratorMatrix, pairs) -> np.ndarray:
-    """Pairs of vertex-set ids mapped to kernel positions, keeping only the
-    pairs whose two ends both survive the boundary condition: (n, 2)."""
-    mapped = gen.positions()[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)]
-    return mapped[(mapped >= 0).all(axis=1)]
+    mapped = gen.positions()[np.asarray(out, dtype=np.int64).reshape(-1, 2)]
+    pairs = mapped[(mapped >= 0).all(axis=1)]
+    pts = gen.points
+    dist = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+    return pairs[dist > 0], dist[dist > 0]
 
 
 def _window_times(table: HeatKernelTable, model: FractalModel, n: int) -> np.ndarray:
@@ -708,19 +716,15 @@ def verify_holder(table: HeatKernelTable, model: FractalModel | None = None,
     the empirical Hoelder constant."""
     model = table.model if model is None else model
     kern = table.kernel
-    vs = kern.gen.vs
-    if vs.level < 2:
+    if kern.level < 2:
         raise KernelError("need level >= 2 for pair scales")
     rng = np.random.default_rng(seed)
     if times is None:
         times = _window_times(table, model, 4)
-    pairs = _multiscale_pairs(vs, rng, 60)
-    if not pairs:
+    pairs, dist = _holder_pairs(kern.gen, rng, 60)
+    if not len(pairs):
         raise KernelError("no usable vertex pairs")
-    pa, pb = _kept_pairs(kern.gen, pairs).T
-    dist = np.linalg.norm(kern.gen.points[pa] - kern.gen.points[pb], axis=1)
-    ok0 = dist > 0
-    pa, pb, dist = pa[ok0], pb[ok0], dist[ok0]
+    pa, pb = pairs.T
     xs = rng.choice(np.arange(kern.n_vertices), size=min(24, kern.n_vertices),
                     replace=False)
     target = model.d_w - model.d_f

@@ -64,6 +64,8 @@ class BaseSM:
     def __post_init__(self):
         if self.kind not in BASE_KINDS:
             raise MeasureError(f"unknown base kind {self.kind!r}; known: {BASE_KINDS}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise MeasureError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.kind == "symmetric_stable" and not 0 < self.stable_index < 2:
             raise MeasureError("stable index must lie in (0, 2)")
         if self.kind == "atomic_series" and not self.atoms:

@@ -337,18 +337,14 @@ class HolderRegression:
 def estimate_h_holder(hf: HFunction, t: float, x_id: int) -> HolderRegression:
     """log-log regression of |h(z,y1) - h(z,y2)| on |y1 - y2| over cell-sharing
     vertex pairs, 80 per depth (target exponent min{d_w - d_f, sigma exponent})."""
-    from .kernel import _kept_pairs, _multiscale_pairs
+    from .kernel import _holder_pairs
 
-    vs = hf.kernel.gen.vs
-    if vs.level < 3:
+    if hf.kernel.level < 3:
         raise ParamIntegralError("need kernel level >= 3 for enough pair scales")
-    rng = np.random.default_rng(0)
-    pairs = _kept_pairs(hf.kernel.gen, _multiscale_pairs(vs, rng, 80))
+    pairs, dist = _holder_pairs(hf.kernel.gen, np.random.default_rng(0), 80)
     row = h_row(hf, t, x_id)
-    pts = hf.points
-    dist = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
     dh = np.abs(row[pairs[:, 0]] - row[pairs[:, 1]])
-    ok = (dist > 0) & (dh > 1e-14 * max(np.abs(row).max(), 1e-300))
+    ok = dh > 1e-14 * max(np.abs(row).max(), 1e-300)
     if ok.sum() < 10:
         raise ParamIntegralError("degenerate regression: too few usable pairs")
     slope, intercept = np.polyfit(np.log(dist[ok]), np.log(dh[ok]), 1)

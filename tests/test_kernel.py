@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,8 +47,8 @@ def _cycle_generator(n):
     P[idx, (idx + 1) % n] = 0.5
     P[idx, (idx - 1) % n] = 0.5
     rate = 2.0 * n * n
-    return K.GeneratorMatrix(None, rate * (P - np.eye(n)), rate, "reflecting",
-                             np.arange(n), np.full(n, 1.0 / n), 0.0)
+    return K.GeneratorMatrix(None, scipy.sparse.csr_array(rate * (P - np.eye(n))),
+                             rate, "reflecting", np.arange(n), np.full(n, 1.0 / n), 0.0)
 
 
 class TestGenerator:
@@ -102,6 +103,32 @@ class TestGenerator:
         W = gen.weights[:, None] * L
         gap = float(np.max(np.abs(W - W.T)) / max(np.max(np.abs(W)), 1e-300))
         assert gen.detailed_balance_gap == gap
+
+    @pytest.mark.parametrize("name,level", [("vicsek", 2), ("gasket", 4)])
+    @pytest.mark.parametrize("boundary", ["reflecting", "dirichlet"])
+    def test_sparse_canonical_edges_and_diagonal(self, vs_cache, name, level,
+                                                boundary):
+        vs = vs_cache(name, level)
+        gen = build_generator(vs, boundary=boundary)
+        n_kept_edges = int(np.isin(vs.edges, gen.kept).all(axis=1).sum())
+        assert gen.L.format == "csr" and gen.L.has_canonical_format
+        assert gen.L.nnz == 2 * n_kept_edges + len(gen.kept)
+
+    @pytest.mark.parametrize("boundary", ["reflecting", "dirichlet"])
+    def test_build_allocates_no_dense_matrix(self, vs_cache, boundary):
+        # a dense V' x V' float64 array would be 16 times this bound
+        import tracemalloc
+
+        vs = vs_cache("vicsek", 4)
+        build_generator(vs_cache("vicsek", 1), boundary=boundary)  # warm imports
+        tracemalloc.start()
+        try:
+            gen = build_generator(vs, boundary=boundary)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        V = len(gen.kept)
+        assert peak < V * V * 8 / 16
 
     def test_dirichlet_dimension(self, vs_cache):
         vs = vs_cache("vicsek", 2)
@@ -299,8 +326,10 @@ class TestHolder:
         times = np.array([0.01, 0.1])
         tab = HeatKernelTable(kern, times, kern.diag_density(times), None)
         fit = verify_holder(tab, vicsek, times=times, seed=4)
+        # the reflecting generator keeps every vertex, so its sample is the
+        # raw vertex-set ids, drawn from the same random stream
         rng = np.random.default_rng(4)
-        pairs = K._multiscale_pairs(kern.gen.vs, rng, 60)
+        pairs, _ = K._holder_pairs(kernel_cache("vicsek", 3).gen, rng, 60)
         pos = {v: i for i, v in enumerate(kern.gen.kept)}
         pa, pb = np.array([(pos[a], pos[b]) for a, b in pairs
                            if a in pos and b in pos]).T
@@ -483,6 +512,15 @@ def test_log_time_grid_density():
     assert np.allclose(np.diff(np.log10(g)), np.diff(np.log10(g))[0])
 
 
+@pytest.mark.parametrize("t_lo,t_hi,per_decade", [
+    (0.1, 1.0, 0), (0.1, 1.0, -5), (1.0, 0.1, 20), (0.5, 0.5, 20),
+    (0.0, 1.0, 20), (-1.0, 1.0, 20), (0.1, math.inf, 20), (math.nan, 1.0, 20),
+    (0.1, math.nan, 20)])
+def test_log_time_grid_refuses_grids_nobody_asked_for(t_lo, t_hi, per_decade):
+    with pytest.raises(KernelError, match="log time grid"):
+        log_time_grid(t_lo, t_hi, per_decade)
+
+
 def _plain_eigh(gen):
     """Plain eigh of the dense symmetrized S: (S, lam, B)."""
     sm = np.sqrt(gen.weights)
@@ -497,7 +535,7 @@ def _one_block_kernel(gen, monkeypatch):
     plain eigh of S (test_trivial_group_is_plain_eigh)."""
     with monkeypatch.context() as m:
         m.setattr(K, "_reflection_group",
-                  lambda gen, i, j: np.arange(len(gen.weights))[None, :])
+                  lambda gen: np.arange(len(gen.weights))[None, :])
         return HeatKernel(gen)
 
 
@@ -598,13 +636,12 @@ class TestSymmetryBlocks:
         lines = np.isclose(x, 0.5) | np.isclose(y, 0.5) | np.isclose(x, 1.0 - y)
         main = int(np.flatnonzero(np.isclose(x, y) & ~lines)[0])
         generic = int(np.flatnonzero(~lines & ~np.isclose(x, y))[0])
-        i, j = np.nonzero(gen.matrix)
-        assert len(K._reflection_group(gen, i, j)) == 4
+        assert len(K._reflection_group(gen)) == 4
         for changed, n_blocks in ((main, 2), (generic, 1)):
             weights = gen.weights.copy()
             weights[changed] *= 1.0 + 1e-15
             broken = dataclasses.replace(gen, weights=weights)
-            group = K._reflection_group(broken, i, j)
+            group = K._reflection_group(broken)
             assert len(group) == n_blocks
             assert (group[:, changed] == changed).all()
             kern = HeatKernel(broken)
@@ -613,7 +650,8 @@ class TestSymmetryBlocks:
         # a changed generator entry breaks them the same way
         matrix = gen.matrix.copy()
         matrix[main, matrix[main] > 0] *= 1.0 + 1e-15
-        group = K._reflection_group(dataclasses.replace(gen, matrix=matrix), i, j)
+        broken = dataclasses.replace(gen, L=scipy.sparse.csr_array(matrix))
+        group = K._reflection_group(broken)
         assert len(group) == 2 and (group[:, main] == main).all()
 
     def test_block_sizes_read_only(self, kernel_cache):
@@ -641,6 +679,21 @@ class TestSpectralSeam:
         assert "kernel.py" in touches      # the scan does see the owner
         assert {name: lines for name, lines in touches.items()
                 if name != "kernel.py"} == {}
+
+    def test_no_module_reads_the_dense_generator(self):
+        # GeneratorMatrix.matrix assembles L densely on each access; the
+        # library works on the sparse L alone
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src" / "fractalheat"
+        reads = {}
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            lines = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "matrix"]
+            if lines:
+                reads[path.name] = lines
+        assert reads == {}
 
 
 def _called_name(func):

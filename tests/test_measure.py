@@ -297,6 +297,13 @@ class TestGuards:
         with pytest.raises(MeasureError):
             BaseSM("poisson")
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # numpy would refuse these only at realize time
+        with pytest.raises(MeasureError, match="non-negative integer"):
+            BaseSM("gaussian_white", seed=seed)
+        assert BaseSM("gaussian_white", seed=np.int64(7)).seed == 7
+
     def test_depth_budget(self, vicsek):
         with pytest.raises(MeasureError):
             realize(BaseSM("gaussian_white", seed=0), vicsek, n_max=12)
