@@ -17,8 +17,9 @@ reflection in the hyperplane bisecting any two essential fixed points
 (Lindstrom, Mem. AMS 420, 1990); the reflections that verifiably keep the
 generator and the weights, reduced to a maximal commuting set, form a group
 Z2^k (Z2 x Z2 on Vicsek, Z2 on the gasket).  In its symmetry-adapted basis
-(Fassler & Stiefel, Group Theoretical Methods and Their Applications, 1992)
-S splits into one block per character, so the eigensolve costs the sum of
+(Fassler & Stiefel, Group Theoretical Methods and Their Applications, 1992),
+the signed orbit sums held as the columns of one sparse O_c per character c,
+S splits into the blocks O_c^T S O_c, so the eigensolve costs the sum of
 block^3: about V^3 / 16 on Vicsek and V^3 / 4 on the gasket.  A generator
 with no verified symmetry is one block, the plain eigh of S.  L is sparse, but
 B and the density matrices are dense V x V, so build_generator refuses vertex
@@ -289,63 +290,56 @@ class HeatKernel:
     rows and diagonals at arbitrary t >= 0, and the Duhamel integrals
     int P(t - s) g(s) ds on a time grid.
 
-    S = M^{1/2} L M^{-1/2}, symmetrized, is factored block by block: each
-    character chi of the reflection group G (_reflection_group) spans the
-    signed orbit sums u_r = n_r^{-1/2} sum_{x in O(r)} chi(x) e_x over the
-    orbit representatives r whose stabilizer chi is trivial on, and S maps
-    each span into itself.  The block entries are
-    u_r^T S u_s = (n_r / n_s)^{1/2} sum_{y in O(s)} chi(y) S[r, y], gathered
-    from the nonzeros of L, and the block eigenvectors are scattered back into
-    B.  The eigenvalues come block after block, ascending within a block.
-    With the trivial group the one block is S itself.
+    S = M^{1/2} L M^{-1/2}, symmetrized, is factored block by block.  For
+    each character chi of the reflection group G (_reflection_group), O is a
+    sparse (V, n_chi) array whose orthonormal columns are the signed orbit
+    sums u_r = n_r^{-1/2} sum_{x in O(r)} chi(x) e_x, one per orbit
+    representative r whose stabilizer chi is trivial on.  S maps their span
+    into itself, so the block is O^T S O and its eigenvectors U_chi give the
+    columns O U_chi of U.  The eigenvalues come block after block, ascending
+    within a block.  With the trivial group O is the identity and the one
+    block is S itself.
     """
 
     def __init__(self, gen: GeneratorMatrix):
+        from scipy.sparse import csc_array, csr_array
+
         self.gen = gen
         self.weights = gen.weights
         self._sqrt_m = np.sqrt(self.weights)
         V = len(self.weights)
         L = gen.L.tocoo()             # row-major order, as L is canonical CSR
-        # S = (A + A^T) / 2 with A = M^{1/2} L M^{-1/2}, as a coordinate list
+        # S = (A + A^T) / 2 with A = M^{1/2} L M^{-1/2}
         half = 0.5 * ((self._sqrt_m[L.row] * L.data) / self._sqrt_m[L.col])
-        rows, cols, vals = np.r_[L.row, L.col], np.r_[L.col, L.row], np.r_[half, half]
+        S = csr_array((np.r_[half, half], (np.r_[L.row, L.col], np.r_[L.col, L.row])),
+                      shape=(V, V))
         perms = _reflection_group(gen)
-        ids = np.arange(V)
-        rep = perms.min(axis=0)                      # orbit representative
-        moved = perms[:, rep]                        # (|G|, V) images of rep
-        fixes = moved == rep                         # element fixes the rep
-        size = len(perms) // fixes.sum(axis=0)       # orbit size
-        to_x = np.argmax(moved == ids, axis=0)       # an element taking rep to x
-        elems = np.arange(len(perms))
+        G = len(perms)
+        reps = np.flatnonzero(perms.min(axis=0) == np.arange(V))   # orbit minima
+        images = (perms[:, reps].ravel(), np.tile(np.arange(len(reps)), G))
         # column-major, as LAPACK returns U: the (V, k) products with B.T on
         # the Duhamel path ran about 20% slower on a row-major B (Vicsek L3,
         # 2 cores)
         U = np.zeros((V, V), order="F")
         lams, start = [], 0
-        for c in elems:
-            chi = np.array([(-1.0) ** bin(e & c).count("1") for e in elems])
-            member = np.all((chi[:, None] > 0) | ~fixes, axis=0)
-            reps = np.flatnonzero(member & (rep == ids))
-            pos = np.full(V, -1)
-            pos[reps] = np.arange(len(reps))
-            on = (pos[rows] >= 0) & member[cols]
-            r, s = rows[on], cols[on]
-            w = np.sqrt(size[r] / size[s]) * chi[to_x[s]] * vals[on]
-            n = len(reps)
-            Sb = np.bincount(pos[r] * n + pos[rep[s]], weights=w,
-                             minlength=n * n).reshape(n, n)
+        for c in range(G):
+            chi = np.array([(-1.0) ** bin(e & c).count("1") for e in range(G)])
+            # column r sums chi(e) e_{e(r)} over G: the orbit sum of r times
+            # its stabilizer's order, or zero if chi is not trivial there
+            O = csc_array((np.repeat(chi, len(reps)), images), shape=(V, len(reps)))
+            norm = np.sqrt(np.ravel(O.multiply(O).sum(axis=0)))
+            O = O[:, norm > 0].multiply(1.0 / norm[norm > 0]).tocsr()
+            Sb = (O.T @ S @ O).toarray()
             try:
                 # divide and conquer: the default MRRR routine stalls on the
                 # highly degenerate Vicsek spectrum.  The two triangles of Sb
-                # are sums over different orbits, equal only to rounding
+                # are summed in different orders, equal only to rounding
                 lam, Ub = scipy.linalg.eigh(0.5 * (Sb + Sb.T), driver="evd")
             except scipy.linalg.LinAlgError as exc:  # pragma: no cover
                 raise KernelError(f"eigendecomposition failed: {exc}") from exc
-            x = np.flatnonzero(member)
-            coef = chi[to_x[x]] / np.sqrt(size[x])
-            U[x, start:start + n] = coef[:, None] * Ub[pos[rep[x]]]
+            U[:, start:start + len(lam)] = O @ Ub
             lams.append(lam)
-            start += n
+            start += len(lam)
         U /= self._sqrt_m[:, None]
         self.eigenvalues = np.concatenate(lams)
         self.B = U
@@ -554,7 +548,7 @@ class HeatKernelTable:
 
     def transition(self, t: float) -> np.ndarray:
         if self.dense is not None:
-            hits = np.nonzero(np.isclose(self.times, t, rtol=1e-12))[0]
+            hits = np.flatnonzero(self.times == t)     # grid times match exactly
             if len(hits):
                 return self.dense[hits[0]]
         return self.kernel.transition(t)

@@ -330,7 +330,7 @@ def write_realization(real: MeasureRealization, path) -> None:
 def read_realization(path, model: FractalModel) -> MeasureRealization:
     """Rebuild a realization from the text format (additivity re-verified)."""
     header = {}
-    level_data: dict[int, dict[int, float]] = {}
+    masses: dict[tuple[int, int], float] = {}      # (depth, rank - 1) -> mass
     with open(path, encoding="utf-8") as f:
         for line in f:
             line = line.strip()
@@ -342,11 +342,16 @@ def read_realization(path, model: FractalModel) -> MeasureRealization:
                         key, val = tok.split("=", 1)
                         header[key] = val
                 continue
-            word_s, mass_s = line.split()
-            word = () if word_s == "-" else tuple(int(t) for t in word_s.split(","))
-            level_data.setdefault(len(word), {})[interval_rank(word, model.N) - 1] = float(mass_s)
-    if "n_max" not in header or "blowup" not in header:
-        raise MeasureError("missing header fields in realization file")
+            try:
+                word_s, mass_s = line.split()
+                word = () if word_s == "-" else tuple(int(t) for t in word_s.split(","))
+                mass = float(mass_s)
+            except ValueError as exc:
+                raise MeasureError(f"bad cell line {line!r}: want 'word mass'") from exc
+            masses[len(word), interval_rank(word, model.N) - 1] = mass
+    missing = [k for k in ("n_max", "blowup", "component_weights") if k not in header]
+    if missing:
+        raise MeasureError(f"realization file lacks header fields {missing}")
     n_max, M = int(header["n_max"]), int(header["blowup"])
     weights = np.array([float(w) for w in header["component_weights"].split(",")])
     atoms_src = header.get("atoms", "")
@@ -356,15 +361,16 @@ def read_realization(path, model: FractalModel) -> MeasureRealization:
                   float(header.get("stable_index", 1.5)), atoms,
                   header.get("random_signs", "False") == "True")
     N = model.N
-    comp_levels = []
-    for comp in range(N ** M):
-        levels = []
-        for lev in range(n_max - M + 1):
-            n = lev + M
-            width = N ** lev
-            arr = np.array([level_data[n][comp * width + k] for k in range(width)])
+    comp_levels = [[] for _ in range(N ** M)]
+    for n in range(M, n_max + 1):
+        gone = [k for k in range(N ** n) if (n, k) not in masses]
+        if gone:
+            word = ",".join(str(d + 1) for d in np.unravel_index(gone[0], (N,) * n))
+            raise MeasureError(f"realization file has no line for cell {word or '-'}")
+        # component c holds ranks c N^(n-M) .. (c + 1) N^(n-M) - 1
+        level = np.array([masses[n, k] for k in range(N ** n)]).reshape(N ** M, -1)
+        for levels, arr in zip(comp_levels, level):
             levels.append(arr)
-        comp_levels.append(levels)
     real = MeasureRealization(model, base, M, n_max, weights, comp_levels)
     if real.additivity_gap() > 1e-9:
         raise MeasureError("realization file violates parent/child additivity")

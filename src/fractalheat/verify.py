@@ -123,29 +123,20 @@ def _hfunction(name: str, level: int):
 
 # ---- spectral dimension ----------------------------------------------------
 
-def _ds_case(name: str, level: int, blowup: int):
+def check_spectral_dimension(cases=(("vicsek", 4, 0), ("gasket", 6, 2))) -> CheckResult:
     from .kernel import estimate_spectral_dimension
-    est = estimate_spectral_dimension(_table(name, level, blowup))
-    return est.d_s, _model(name).d_s
-
-
-def check_spectral_dimension() -> CheckResult:
-    lines, ok = [], True
-    t_v = time.time()
-    got, want = _ds_case("vicsek", 4, 0)
-    dt_v = time.time() - t_v
-    ok &= abs(got - want) <= DS_TOL and dt_v < 120
-    lines.append(f"vicsek level 4: d_s={got:.5f} target={want:.5f} "
-                 f"err={got - want:+.5f} ({dt_v:.1f}s)")
-    t_g = time.time()
-    got_g, want_g = _ds_case("gasket", 6, 2)
-    dt_g = time.time() - t_g
-    ok &= abs(got_g - want_g) <= DS_TOL and dt_g < 120
-    lines.append(f"gasket level 6 blowup 2: d_s={got_g:.5f} target={want_g:.5f} "
-                 f"err={got_g - want_g:+.5f} ({dt_g:.1f}s)")
-    return CheckResult(bool(ok), f"errors {got - want:+.4f} / {got_g - want_g:+.4f}",
-                       "log25/log15 and log9/log5", f"+-{DS_TOL}, <120s each",
-                       "\n".join(lines))
+    lines, errs, ok = [], [], True
+    for name, level, blowup in cases:
+        t0 = time.time()
+        got = estimate_spectral_dimension(_table(name, level, blowup)).d_s
+        want, dt = _model(name).d_s, time.time() - t0
+        ok &= abs(got - want) <= DS_TOL and dt < 120
+        errs.append(f"{got - want:+.4f}")
+        lines.append(f"{name} level {level} blowup {blowup}: d_s={got:.5f} "
+                     f"target={want:.5f} err={got - want:+.5f} ({dt:.1f}s)")
+    return CheckResult(bool(ok), "errors " + " / ".join(errs),
+                       " and ".join(f"{_model(name).d_s:.5f}" for name, *_ in cases),
+                       f"+-{DS_TOL}, <120s each", "\n".join(lines))
 
 
 def check_kernel_holder() -> CheckResult:
@@ -379,14 +370,6 @@ def quick_geometry() -> CheckResult:
                        "recurrence 5V-4, Assumption-1 k", "exact")
 
 
-def quick_spectral() -> CheckResult:
-    from .kernel import estimate_spectral_dimension
-    est = estimate_spectral_dimension(_table("vicsek", 3, 0))
-    err = est.d_s - _model("vicsek").d_s
-    return CheckResult(bool(abs(err) <= DS_TOL), f"d_s err {err:+.4f}", "log25/log15",
-                       f"+-{DS_TOL}")
-
-
 CHECKS = {
     "spectral_dimension": check_spectral_dimension,
     "kernel_holder_exponent": check_kernel_holder,
@@ -400,7 +383,7 @@ CHECKS = {
     "reproducibility": check_reproducibility,
     "quick_geometry": quick_geometry,
     "quick_kernel": partial(check_kernel_structure, levels=(2, 3)),
-    "quick_spectral": quick_spectral,
+    "quick_spectral": partial(check_spectral_dimension, cases=(("vicsek", 3, 0),)),
     "quick_measure": partial(check_measure_consistency, n_seeds=1000, n_lemma_seeds=20),
     "quick_eta": partial(check_eta_convergence, n_seeds=8, level=2, depth=5,
                          holder_level=3),

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -262,6 +263,17 @@ class TestKernelTable:
         assert np.allclose(times, [0.05, 0.1])
         P0 = raw[6:6 + 256].reshape(16, 16)
         assert np.allclose(P0, tab.transition(0.05))
+
+    def test_binary_blocks_at_tiny_grid_times(self, generator_cache, tmp_path):
+        # 1e-10 and 5e-9 are within the default atol of np.isclose; each block
+        # must still be the P(t) of its own time
+        tab = kernel(generator_cache("vicsek", 1), times=np.array([1e-10, 5e-9]))
+        want = tab.kernel.transition(5e-9)
+        assert np.array_equal(tab.transition(5e-9), want)
+        path = tmp_path / "k.bin"
+        tab.to_binary(path)
+        raw = np.fromfile(path, dtype=np.float64)
+        assert np.array_equal(raw[6 + 256:].reshape(16, 16), want)
 
 
 class TestSpectralDimension:
@@ -539,23 +551,45 @@ def _one_block_kernel(gen, monkeypatch):
         return HeatKernel(gen)
 
 
-_BLOCK_CASES = [("vicsek", 2, 0), ("vicsek", 3, 0), ("vicsek", 2, 1),
-                ("gasket", 3, 0), ("gasket", 4, 0), ("gasket", 5, 0),
-                ("gasket", 4, 1)]
+# (model, level, blow-up, order of the reflection group): Z2 x Z2 on Vicsek,
+# Z2 on the gasket, Z2^3 on the 3D Vicsek set; ids without the order
+_BLOCK_CASES = [pytest.param(*case, id="-".join(map(str, case[:3]))) for case in [
+    ("vicsek", 2, 0, 4), ("vicsek", 3, 0, 4), ("vicsek", 2, 1, 4),
+    ("gasket", 3, 0, 2), ("gasket", 4, 0, 2), ("gasket", 5, 0, 2),
+    ("gasket", 4, 1, 2), ("vicsek3d", 1, 0, 8), ("vicsek3d", 2, 0, 8)]]
+# nine maps of ratio 1/3: the cube's corners and centre (d_s = 4/3)
+_VICSEK_3D = FractalModel(
+    "vicsek3d", 3.0, np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0)
+                               for z in (0.0, 1.0)] + [[0.5, 0.5, 0.5]]), 4 / 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _vicsek3d_kernel(level, boundary):
+    return HeatKernel(build_generator(vertex_set(_VICSEK_3D, level), boundary))
+
+
+def _case_kernel(kernel_cache, name, level, blowup, boundary):
+    if name == "vicsek3d":
+        return _vicsek3d_kernel(level, boundary)
+    return kernel_cache(name, level, blowup, boundary)
 
 
 class TestSymmetryBlocks:
-    @pytest.mark.parametrize("name,level,blowup", _BLOCK_CASES)
+    @pytest.mark.parametrize("name,level,blowup,n_blocks", _BLOCK_CASES)
     @pytest.mark.parametrize("boundary", ["reflecting", "dirichlet"])
-    def test_blocks_factor_s(self, kernel_cache, name, level, blowup, boundary):
-        kern = kernel_cache(name, level, blowup, boundary)
+    def test_blocks_factor_s(self, kernel_cache, name, level, blowup, n_blocks,
+                             boundary):
+        kern = _case_kernel(kernel_cache, name, level, blowup, boundary)
         S, lam, _ = _plain_eigh(kern.gen)
         V = kern.n_vertices
-        # Z2 x Z2 on Vicsek (four blocks of equal size), Z2 on the gasket
-        if name == "vicsek":
-            assert kern.block_sizes == (V // 4,) * 4
-        else:
-            assert len(kern.block_sizes) == 2
+        # block c spans the range of the projector (1/|G|) sum_e chi_c(e) e,
+        # so its size is the trace: chi_c against the fixed-point counts
+        perms = K._reflection_group(kern.gen)
+        assert len(perms) == n_blocks
+        chi = (-1) ** np.array([[bin(e & c).count("1") for e in range(n_blocks)]
+                                for c in range(n_blocks)])
+        fixed = (perms == np.arange(V)).sum(axis=1)
+        assert kern.block_sizes == tuple(chi @ fixed // n_blocks)
         assert sum(kern.block_sizes) == V
         assert (np.abs(np.sort(kern.eigenvalues) - lam).max()
                 <= 1e-12 * np.abs(lam).max())
@@ -565,11 +599,11 @@ class TestSymmetryBlocks:
                 <= V * eps * np.linalg.norm(S))
         assert np.abs(U.T @ U - np.eye(V)).max() <= V * eps
 
-    @pytest.mark.parametrize("name,level,blowup", _BLOCK_CASES)
+    @pytest.mark.parametrize("name,level,blowup,n_blocks", _BLOCK_CASES)
     @pytest.mark.parametrize("boundary", ["reflecting", "dirichlet"])
     def test_operators_match_one_block(self, kernel_cache, monkeypatch, name,
-                                       level, blowup, boundary):
-        kern = kernel_cache(name, level, blowup, boundary)
+                                       level, blowup, n_blocks, boundary):
+        kern = _case_kernel(kernel_cache, name, level, blowup, boundary)
         ref = _one_block_kernel(kern.gen, monkeypatch)
         V = kern.n_vertices
 

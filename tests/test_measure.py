@@ -291,6 +291,21 @@ class TestRealizationIO:
         with pytest.raises(MeasureError):
             read_realization(path, vicsek)
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda txt: [ln for ln in txt if not ln.startswith("1,2 ")],
+         "no line for cell 1,2$"),
+        (lambda txt: [ln for ln in txt if not ln.startswith("# component_weights")],
+         r"header fields \['component_weights'\]"),
+        (lambda txt: [ln + " 7" if ln.startswith("2,3 ") else ln for ln in txt],
+         "bad cell line '2,3 .* 7'"),
+    ], ids=["missing-cell", "missing-weights", "third-token"])
+    def test_malformed_file_named(self, vicsek, tmp_path, edit, match):
+        path = tmp_path / "real.txt"
+        write_realization(realize(BaseSM("gaussian_white", seed=1), vicsek, n_max=2), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(MeasureError, match=match):
+            read_realization(path, vicsek)
+
 
 class TestGuards:
     def test_unknown_kind(self):
