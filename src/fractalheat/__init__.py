@@ -9,7 +9,7 @@ Subpackages by role:
 * measure   -- stochastic measures transported from (0, 1] through the cell
                tree; Gaussian, symmetric-stable, and atomic bases.
 * paramint  -- the parameter integral eta(z) = int h(z, y) dmu(y) by multiscale
-               cell sums, with convergence and regularity diagnostics.
+               cell sums, with convergence and Hoelder diagnostics.
 * solver    -- Picard iteration for the mild heat equation with additive
                measure noise, assumption gate, uniqueness and residual checks.
 * verify    -- named acceptance checks (quick and full suites).

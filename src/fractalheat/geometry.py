@@ -36,7 +36,6 @@ __all__ = [
     "vertex_set",
     "check_assumption1",
     "measure_weights",
-    "cell_words",
     "cell_corners",
     "cell_anchors",
     "load_ifs_file",
@@ -206,15 +205,6 @@ def apply_word(model: FractalModel, addr: CellAddress, x) -> np.ndarray:
     return model.alpha ** addr.blowup * pts
 
 
-def cell_words(model: FractalModel, depth: int) -> np.ndarray:
-    """All words of the given depth as an (N^depth, depth) int array, in
-    lexicographic order (first symbol most significant)."""
-    if depth == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*[np.arange(1, model.N + 1)] * depth, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 def cell_corners(model: FractalModel, depth: int, blowup: int = 0) -> np.ndarray:
     """Corner images of every depth-n cell: (N^depth, |F0|, d) array ordered by word.
 
@@ -255,10 +245,6 @@ class VertexSet:
     @property
     def n_vertices(self) -> int:
         return len(self.points)
-
-    def vertex_cells(self, vid: int) -> np.ndarray:
-        """Cell row indices (word ranks) containing the vertex."""
-        return np.nonzero(np.any(self.cell_vertex_ids == vid, axis=1))[0]
 
     def boundary_ids(self) -> np.ndarray:
         """Vertices at the blow-up images of the essential fixed points

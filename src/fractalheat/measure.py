@@ -204,15 +204,6 @@ class MeasureRealization:
             self.component_weights.copy(),
             [[arr * factor for arr in lv] for lv in self.component_levels])
 
-    def cellwise_sum(self, other: "MeasureRealization") -> "MeasureRealization":
-        if (other.blowup, other.n_max, other.model.N) != (self.blowup, self.n_max, self.model.N):
-            raise MeasureError("realizations are not on the same cell tree")
-        return MeasureRealization(
-            self.model, self.base, self.blowup, self.n_max,
-            self.component_weights.copy(),
-            [[a + b for a, b in zip(la, lb)]
-             for la, lb in zip(self.component_levels, other.component_levels)])
-
 
 def default_component_weights(n_components: int) -> np.ndarray:
     """Summable weights 2^-j for the blow-up extension; a single component
@@ -330,7 +321,7 @@ def write_realization(real: MeasureRealization, path) -> None:
 def read_realization(path, model: FractalModel) -> MeasureRealization:
     """Rebuild a realization from the text format (additivity re-verified)."""
     header = {}
-    masses: dict[tuple[int, int], float] = {}      # (depth, rank - 1) -> mass
+    cells = []                                     # (word, mass) per cell line
     with open(path, encoding="utf-8") as f:
         for line in f:
             line = line.strip()
@@ -345,22 +336,25 @@ def read_realization(path, model: FractalModel) -> MeasureRealization:
             try:
                 word_s, mass_s = line.split()
                 word = () if word_s == "-" else tuple(int(t) for t in word_s.split(","))
-                mass = float(mass_s)
+                cells.append((word, float(mass_s)))
             except ValueError as exc:
                 raise MeasureError(f"bad cell line {line!r}: want 'word mass'") from exc
-            masses[len(word), interval_rank(word, model.N) - 1] = mass
-    missing = [k for k in ("n_max", "blowup", "component_weights") if k not in header]
+    # write_realization writes every field, so a missing one is never defaulted
+    missing = [k for k in ("N", "kind", "seed", "stable_index", "random_signs", "atoms",
+                           "blowup", "n_max", "component_weights") if k not in header]
     if missing:
         raise MeasureError(f"realization file lacks header fields {missing}")
+    N = model.N
+    if header["N"] != str(N):
+        raise MeasureError(f"realization file has N={header['N']}, "
+                           f"model {model.name} has N={N}")
+    masses = {(len(w), interval_rank(w, N) - 1): m for w, m in cells}   # (depth, rank - 1)
     n_max, M = int(header["n_max"]), int(header["blowup"])
     weights = np.array([float(w) for w in header["component_weights"].split(",")])
-    atoms_src = header.get("atoms", "")
     atoms = tuple(tuple(float(v) for v in pair.split(":"))
-                  for pair in atoms_src.split(";") if pair)
-    base = BaseSM(header.get("kind", "gaussian_white"), int(header.get("seed", 0)),
-                  float(header.get("stable_index", 1.5)), atoms,
-                  header.get("random_signs", "False") == "True")
-    N = model.N
+                  for pair in header["atoms"].split(";") if pair)
+    base = BaseSM(header["kind"], int(header["seed"]), float(header["stable_index"]),
+                  atoms, header["random_signs"] == "True")
     comp_levels = [[] for _ in range(N ** M)]
     for n in range(M, n_max + 1):
         gone = [k for k in range(N ** n) if (n, k) not in masses]

@@ -16,8 +16,8 @@ is bounded by its length times the density ceiling 1/min(m).
 eta is approximated by S^(n)(z) = sum_cells h(z, anchor) mass(cell); anchors
 deeper than the kernel level are snapped to the nearest vertex, and a cell
 whose anchor snaps to a vertex removed by a Dirichlet boundary adds nothing.
-All depths 0..n_max are recorded so the per-level sup increments diagnose
-the convergence rate.
+EtaEvaluation records all depths 0..n_max, so the per-level sup increments
+diagnose the convergence rate; its eta.csv holds the final depth alone.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "h_row",
     "eval_eta",
     "estimate_h_holder",
-    "path_regularity_report",
     "HolderRegression",
 ]
 
@@ -245,13 +244,12 @@ def _h_pairs(hf: HFunction, t: float, ids) -> np.ndarray:
 @dataclass
 class EtaEvaluation:
     """Cell sums S^(n)(z) for n = 0..n_max on the z grid, their sup increments
-    per level, and the final values eta = S^(n_max)."""
+    per level, and the final values eta = S^(n_max).  Every level is kept
+    here; to_csv writes the final one."""
 
     times: np.ndarray            # (K,)
     x_ids: np.ndarray            # (X,) kernel vertex ids
-    points: np.ndarray           # (X, d) their coordinates
     partial: np.ndarray          # (n_max + 1, K, X)
-    anchor_rule: int
 
     @property
     def n_max(self) -> int:
@@ -276,13 +274,12 @@ class EtaEvaluation:
         return float(np.median(r[-last:])) if len(r) else math.nan
 
     def to_csv(self, path) -> None:
-        """Rows t,x_id,level,partial_sum: level, then time, then vertex."""
-        heads, x_txt = _text.floats(self.times), _text.ints(self.x_ids)
+        """Rows t,x_id,level,partial_sum of the final level n_max: time, then
+        vertex (the coarser levels are summed up by diagnostics_csv)."""
+        keys = [f"{x}{self.n_max}," for x in _text.ints(self.x_ids)]
         with _text.open_table(path, "t,x_id,level,partial_sum\n") as f:
-            for n, level in enumerate(self.partial):
-                keys = [f"{x}{n}," for x in x_txt]
-                for head, block in zip(heads, level):
-                    _text.write_block(f, head, keys, block)
+            for head, block in zip(_text.floats(self.times), self.eta):
+                _text.write_block(f, head, keys, block)
 
     def diagnostics_csv(self, path) -> None:
         inc = self.sup_increments
@@ -323,8 +320,7 @@ def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
     vals = kern.duhamel(grid, lambda nodes: hf.sigma(nodes, hf.points), ids=rows,
                         fields=per_weight, at=at)                  # (K, X, levels)
     x_ids = np.arange(V) if rows is None else rows
-    return EtaEvaluation(times, x_ids, kern.gen.points[x_ids],
-                         vals.transpose(2, 0, 1), anchor_rule)
+    return EtaEvaluation(times, x_ids, vals.transpose(2, 0, 1))
 
 
 @dataclass
@@ -349,38 +345,3 @@ def estimate_h_holder(hf: HFunction, t: float, x_id: int) -> HolderRegression:
         raise ParamIntegralError("degenerate regression: too few usable pairs")
     slope, intercept = np.polyfit(np.log(dist[ok]), np.log(dh[ok]), 1)
     return HolderRegression(float(slope), float(intercept), int(ok.sum()))
-
-
-def path_regularity_report(ev: EtaEvaluation, seed: int = 0):
-    """Empirical modulus of continuity of eta over the z grid.
-
-    Distances use |t1 - t2| + |x1 - x2| over 4000 sampled pairs; rows are
-    (bin_lo, bin_hi, count, max |eta(z1) - eta(z2)|) over 6 log-spaced bins.
-    The decreasing flag compares the finest and the coarsest populated bins.
-    """
-    K, X = ev.eta.shape
-    if K < 2 or X < 10:
-        raise ParamIntegralError("z grid too small for a modulus report")
-    rng = np.random.default_rng(seed)
-    flat_t = np.repeat(ev.times, X)
-    flat_p = np.tile(ev.points, (K, 1))
-    flat_e = ev.eta.ravel()
-    n = len(flat_e)
-    i = rng.integers(0, n, size=4000)
-    j = rng.integers(0, n, size=4000)
-    keep = i != j
-    i, j = i[keep], j[keep]
-    dz = np.abs(flat_t[i] - flat_t[j]) + np.linalg.norm(flat_p[i] - flat_p[j], axis=1)
-    de = np.abs(flat_e[i] - flat_e[j])
-    pos = dz > 0
-    dz, de = dz[pos], de[pos]
-    if not np.all(np.isfinite(de)):
-        raise ParamIntegralError("eta contains non-finite values")
-    edges = np.geomspace(dz.min(), dz.max() * (1 + 1e-12), 7)
-    rows = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (dz >= lo) & (dz < hi)
-        if sel.sum():
-            rows.append((float(lo), float(hi), int(sel.sum()), float(de[sel].max())))
-    decreasing = bool(rows and rows[0][3] < rows[-1][3])
-    return rows, decreasing

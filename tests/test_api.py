@@ -1,0 +1,66 @@
+"""The package's surface: every exported name is used or documented, and the
+CLI's import stays light."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fractalheat"
+
+
+def _exports(trees):
+    """module.name for every entry of every module's __all__."""
+    out = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                out.update({f"{module}.{name}": name for name in ast.literal_eval(node.value)})
+    return out
+
+
+def _readme_public_api():
+    """Names listed as `module.name` at the start of a bullet in the README's
+    Public API section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\* `(\w+\.\w+)`", section, flags=re.M))
+
+
+def test_every_export_has_a_caller_or_a_reason():
+    # a name in __all__ that nothing in the package reads is surface to
+    # maintain; it stays only when the README says why.  The package's own
+    # re-exports in __init__.py are not callers
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = {getattr(node, "id", getattr(node, "attr", None))
+            for module, tree in trees.items() if module != "__init__"
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    exports = _exports(trees)
+    listed = _readme_public_api()
+    assert listed <= set(exports), f"README lists unexported names {listed - set(exports)}"
+    uncalled = sorted(q for q, name in exports.items() if name not in used and q not in listed)
+    assert not uncalled, f"exported, never called in src/ and not in the README: {uncalled}"
+
+
+IMPORT_CHECK = """
+import sys
+import fractalheat.cli, fractalheat.verify
+print(" ".join(m for m in ("scipy.sparse", "scipy.spatial", "scipy.special", "scipy.optimize")
+               if m in sys.modules))
+"""
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    # interpreter start plus these imports is the set-up time of every CLI
+    # run; the scipy submodules named above are imported by the functions
+    # that use them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CHECK], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -298,13 +298,25 @@ class TestRealizationIO:
          r"header fields \['component_weights'\]"),
         (lambda txt: [ln + " 7" if ln.startswith("2,3 ") else ln for ln in txt],
          "bad cell line '2,3 .* 7'"),
-    ], ids=["missing-cell", "missing-weights", "third-token"])
+        (lambda txt: [ln for ln in txt if not ln.startswith("# base")],
+         r"header fields \['kind', 'seed', 'stable_index', 'random_signs', 'atoms'\]"),
+    ], ids=["missing-cell", "missing-weights", "third-token", "missing-base"])
     def test_malformed_file_named(self, vicsek, tmp_path, edit, match):
         path = tmp_path / "real.txt"
         write_realization(realize(BaseSM("gaussian_white", seed=1), vicsek, n_max=2), path)
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(MeasureError, match=match):
             read_realization(path, vicsek)
+
+    @pytest.mark.parametrize("written,read", [("gasket", "vicsek"), ("vicsek", "gasket")])
+    def test_other_model_refused(self, tmp_path, written, read):
+        # a file of one model read with another must name the mismatch, not
+        # a missing cell or symbol of the other tree
+        path = tmp_path / "real.txt"
+        src, dst = build_preset(written), build_preset(read)
+        write_realization(realize(BaseSM("gaussian_white", seed=1), src, n_max=2), path)
+        with pytest.raises(MeasureError, match=f"has N={src.N}, model {read} has N={dst.N}"):
+            read_realization(path, dst)
 
 
 class TestGuards:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from fractalheat.paramint import (
     eval_h,
     h_matrix,
     h_row,
-    path_regularity_report,
     quad_nodes,
     sigma_preset,
 )
@@ -127,7 +127,10 @@ class TestEvalEta:
         ts = [0.05, 0.4]
         e1 = eval_eta(hf2, r1, ts, 4).eta
         e2 = eval_eta(hf2, r2, ts, 4).eta
-        e12 = eval_eta(hf2, r1.cellwise_sum(r2), ts, 4).eta
+        summed = dataclasses.replace(r1, component_levels=[
+            [a + b for a, b in zip(la, lb)]
+            for la, lb in zip(r1.component_levels, r2.component_levels)])
+        e12 = eval_eta(hf2, summed, ts, 4).eta
         assert np.abs(e12 - (e1 + e2)).max() < 1e-10
 
     def test_matches_integrate(self, hf3, vicsek):
@@ -186,7 +189,8 @@ class TestEvalEta:
         ev.diagnostics_csv(tmp_path / "conv.csv")
         lines = (tmp_path / "eta.csv").read_text().strip().splitlines()
         assert lines[0] == "t,x_id,level,partial_sum"
-        assert len(lines) == 1 + 4 * 2 * hf2.kernel.n_vertices
+        assert len(lines) == 1 + 2 * hf2.kernel.n_vertices
+        assert {line.split(",")[2] for line in lines[1:]} == {"3"}
         conv = (tmp_path / "conv.csv").read_text().strip().splitlines()
         assert conv[0] == "level,sup_increment" and len(conv) == 4
 
@@ -392,32 +396,6 @@ class TestHHolder:
     def test_level_guard(self, hf2):
         with pytest.raises(ParamIntegralError):
             estimate_h_holder(hf2, 0.2, 1)
-
-
-class TestPathRegularity:
-    def test_zero_sigma_zero_modulus(self, kernel_cache, vicsek):
-        z = SigmaFunction(lambda s, pts: np.zeros((len(s), len(pts))), 0.0, 0.0, 1.0, "zero")
-        hf = HFunction(kernel_cache("vicsek", 2), z, T=1.0)
-        real = realize(BaseSM("gaussian_white", seed=2), vicsek, n_max=3)
-        ev = eval_eta(hf, real, np.geomspace(0.05, 0.5, 4), n_max=3)
-        rows, _ = path_regularity_report(ev)
-        assert all(r[3] == 0.0 for r in rows)
-
-    def test_modulus_decreases_to_fine_scales(self, hf3, vicsek):
-        hits = 0
-        for s in range(8):
-            real = realize(BaseSM("gaussian_white", seed=s), vicsek, n_max=5)
-            ev = eval_eta(hf3, real, np.geomspace(0.03, 0.5, 5), n_max=5)
-            rows, dec = path_regularity_report(ev, seed=s)
-            assert all(np.isfinite(r[3]) for r in rows)
-            hits += int(dec)
-        assert hits >= 7   # >= 90% of seeds
-
-    def test_grid_guard(self, hf2, vicsek):
-        real = realize(BaseSM("gaussian_white", seed=2), vicsek, n_max=2)
-        ev = eval_eta(hf2, real, [0.3], n_max=2)
-        with pytest.raises(ParamIntegralError):
-            path_regularity_report(ev)
 
 
 class TestIncrementBoundStructure:

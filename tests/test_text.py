@@ -20,10 +20,9 @@ from fractalheat.solver import ProblemSpec, picard_solve, prepare
 def ref_eta(ev, path):
     with open(path, "w", encoding="utf-8") as f:
         f.write("t,x_id,level,partial_sum\n")
-        for n in range(ev.partial.shape[0]):
-            for i, t in enumerate(ev.times):
-                for j, x in enumerate(ev.x_ids):
-                    f.write(f"{float(t)!r},{x},{n},{float(ev.partial[n, i, j])!r}\n")
+        for i, t in enumerate(ev.times):
+            for j, x in enumerate(ev.x_ids):
+                f.write(f"{float(t)!r},{x},{ev.n_max},{float(ev.eta[i, j])!r}\n")
 
 
 def ref_eta_convergence(ev, path):

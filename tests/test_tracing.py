@@ -1,8 +1,11 @@
-"""The benchmark's traced run still reaches every layer it wraps.
+"""The benchmark's traced run still reaches every layer it wraps, and its
+answer checks still read the CLI's artifacts.
 
 perfbench/tracing.py patches module attributes and methods by name; a rename
 in the package breaks it.  This runs its install() in a child process over
 one tiny solve and one tiny eta, without changing anything under perfbench.
+perfbench/workloads.py reads columns of solution.csv, diagnostics.csv and
+eta.csv; a change of their layout fails every benchmark operation.
 """
 
 import json
@@ -56,3 +59,31 @@ def test_traced_solve_and_eta(tmp_path):
     solve, eta = runs["solve"]["layers"], runs["eta"]["layers"]
     assert eta["paramint.sigma_calls"] == 1
     assert solve["solver.f_calls"] == solve["solver.sweeps"] + GATE_F_CALLS
+
+
+READERS = """
+import json, os, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(sys.argv[1], "perfbench"))
+import workloads
+runs = {}
+for cls in (workloads.SolveL3, workloads.EtaL4):
+    work = cls(1, "small", sys.argv[2], None)
+    result = work.run(0)
+    problems = []
+    got = work.fingerprint(result["out"], problems)
+    runs[cls.name] = {"rc": result["rc"], "problems": problems, "keys": sorted(got)}
+print(json.dumps(runs))
+"""
+
+
+def test_workload_fingerprints_read_cli_outputs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", READERS, str(ROOT), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert runs == {
+        "solve-l3": {"rc": 0, "problems": [], "keys": ["sup_u", "sup_u_T"]},
+        "eta-l4": {"rc": 0, "problems": [], "keys": ["eta_T_x"]},
+    }
