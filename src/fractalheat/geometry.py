@@ -214,6 +214,11 @@ def cell_corners(model: FractalModel, depth: int, blowup: int = 0) -> np.ndarray
     base = model.essential_fixed_points
     if len(base) == 0:
         raise GeometryError("model has no essential fixed points")
+    return _cell_images(model, base, depth, blowup)
+
+
+def _cell_images(model: FractalModel, base: np.ndarray, depth: int, blowup: int) -> np.ndarray:
+    """Images of the (F, d) points base in every depth-n cell, (N^depth, F, d)."""
     cells = base[None, :, :]
     for _ in range(depth):
         layers = [model.map_points(i, cells) for i in range(1, model.N + 1)]
@@ -223,10 +228,11 @@ def cell_corners(model: FractalModel, depth: int, blowup: int = 0) -> np.ndarray
 
 def cell_anchors(model: FractalModel, depth: int, blowup: int = 0, rule: int = 0) -> np.ndarray:
     """Anchor point of each depth-n cell: the cell image of one essential fixed
-    point (rule = index into the essential set). Deterministic by construction."""
+    point (rule = index into the essential set). Deterministic by construction;
+    only that one point is mapped."""
     if not 0 <= rule < len(model.essential_indices):
         raise GeometryError(f"anchor rule {rule} outside the essential fixed point set")
-    return cell_corners(model, depth, blowup)[:, rule]
+    return _cell_images(model, model.essential_fixed_points[rule:rule + 1], depth, blowup)[:, 0]
 
 
 @dataclass

@@ -6,11 +6,12 @@ power of the cell diameter, so walks at every resolution ride the same
 diffusion clock.  Densities p(t, x, y) = P(t)[x, y] / m(y) are symmetric and
 obey detailed balance with respect to the vertex measure weights.
 
-The kernel is held in dense spectral form, its only backend: with
+The kernel is held in spectral form, its only backend: with
 S = M^{1/2} L M^{-1/2} = U diag(lam) U^T and B = M^{-1/2} U, the density matrix
 is p(t) = B exp(t lam) B^T (symmetric by construction) and P(t) = p(t) * m[col].
 Every evaluation below (densities, rows, diagonals, P(t) v and the Duhamel
-integrals) reads B and lam; no other module does.
+integrals) goes through two transforms, into modes (B^T M x) and out of modes
+(B a); no other module reads the spectral form.
 
 S is factored block by block.  A nested fractal is mapped to itself by the
 reflection in the hyperplane bisecting any two essential fixed points
@@ -21,9 +22,11 @@ Z2^k (Z2 x Z2 on Vicsek, Z2 on the gasket).  In its symmetry-adapted basis
 the signed orbit sums held as the columns of one sparse O_c per character c,
 S splits into the blocks O_c^T S O_c, so the eigensolve costs the sum of
 block^3: about V^3 / 16 on Vicsek and V^3 / 4 on the gasket.  A generator
-with no verified symmetry is one block, the plain eigh of S.  L is sparse, but
-B and the density matrices are dense V x V, so build_generator refuses vertex
-sets above DENSE_EIG_LIMIT with KernelSizeError before it allocates.
+with no verified symmetry is one block, the plain eigh of S.  The kernel
+holds O sparse and the blocks U_c dense, sum n_c^2 entries (V^2 / 4 on
+Vicsek), and never B itself, so each transform is one sparse product and one
+GEMM per block.  HeatKernel refuses groups whose blocks exceed
+BLOCK_ENTRY_LIMIT with KernelSizeError before it forms any block.
 
 Diagnostics estimate the on-diagonal decay exponent (spectral dimension), the
 spatial Hoelder exponent of the kernel, and a sub-Gaussian upper envelope
@@ -60,13 +63,13 @@ __all__ = [
     "duhamel_weights",
 ]
 
-# dense budget: build_generator refuses larger vertex sets.  B and every
-# density matrix are V x V float64 (128 MB each at this size), so memory sets
-# the cap; the block eigensolve costs the sum of block^3 (V^3 / 16 on Vicsek,
-# V^3 / 4 on the gasket).  Vicsek fits up to level 4 (V = 1,876; level 5 has
-# 9,376), the gasket up to level 7 (V = 3,282)
-DENSE_EIG_LIMIT = 4000
-# dense P(t) matrices are stored on the grid only below this size
+# budget on the entries of the dense blocks U_c, sum n_c^2 (200 MB of
+# float64): HeatKernel refuses larger groups before it forms a block.  It
+# holds every graph up to V = 5,000 (sum n_c^2 <= V^2), Vicsek level 5
+# (4 x 2,344^2 = 2.2e7) and 3D Vicsek level 3; Vicsek level 6 (5.5e8) and
+# gasket level 8 (4.8e7) are refused
+BLOCK_ENTRY_LIMIT = 25_000_000
+# full P(t) exports (binary, or CSV of every row) are refused above this size
 DENSE_TABLE_LIMIT = 600
 # Gauss nodes per step of the Duhamel rule.  The source is interpolated on
 # each step by a polynomial of this order minus one; at 8 nodes the rule
@@ -82,7 +85,7 @@ class KernelError(RuntimeError):
 
 
 class KernelSizeError(KernelError):
-    """The vertex set is larger than the dense kernel budget DENSE_EIG_LIMIT."""
+    """The symmetry blocks exceed the kernel budget BLOCK_ENTRY_LIMIT."""
 
 
 @dataclass
@@ -138,10 +141,6 @@ def build_generator(vs: VertexSet, boundary: str = "reflecting") -> GeneratorMat
     if boundary not in ("reflecting", "dirichlet"):
         raise KernelError(f"unknown boundary {boundary!r}")
     V = vs.n_vertices
-    if V > DENSE_EIG_LIMIT:
-        raise KernelSizeError(
-            f"{model.name} level {vs.level} has V = {V} vertices; the dense "
-            f"spectral kernel is limited to {DENSE_EIG_LIMIT}")
     if not vs.is_connected():
         raise KernelError("vertex graph is disconnected")
     # cells of the blow-up domain have diameter alpha^(M-n); the jump rate that
@@ -286,23 +285,29 @@ def _reflection_group(gen: GeneratorMatrix) -> np.ndarray:
 
 
 class HeatKernel:
-    """Dense spectral form of exp(tL): evaluates transition matrices, densities,
-    rows and diagonals at arbitrary t >= 0, and the Duhamel integrals
-    int P(t - s) g(s) ds on a time grid.
+    """Spectral form of exp(tL), held as its symmetry blocks: evaluates
+    transition matrices, densities, rows and diagonals at arbitrary t >= 0,
+    and the Duhamel integrals int P(t - s) g(s) ds on a time grid.
 
     S = M^{1/2} L M^{-1/2}, symmetrized, is factored block by block.  For
-    each character chi of the reflection group G (_reflection_group), O is a
-    sparse (V, n_chi) array whose orthonormal columns are the signed orbit
-    sums u_r = n_r^{-1/2} sum_{x in O(r)} chi(x) e_x, one per orbit
+    each character chi of the reflection group G (_reflection_group), O_chi
+    is a sparse (V, n_chi) array whose orthonormal columns are the signed
+    orbit sums u_r = n_r^{-1/2} sum_{x in O(r)} chi(x) e_x, one per orbit
     representative r whose stabilizer chi is trivial on.  S maps their span
-    into itself, so the block is O^T S O and its eigenvectors U_chi give the
-    columns O U_chi of U.  The eigenvalues come block after block, ascending
-    within a block.  With the trivial group O is the identity and the one
-    block is S itself.
+    into itself, so the block is O_chi^T S O_chi and its eigenvectors U_chi
+    give the columns O_chi U_chi of U.  The eigenvalues come block after
+    block, ascending within a block.  With the trivial group O is the
+    identity and the one block is S itself.
+
+    The kernel keeps O (the O_chi side by side, sparse), the dense blocks
+    U_chi and the eigenvalues, and no (V, V) array.  Every operator goes
+    through two transforms, each one sparse product with O pre-scaled by
+    M^{+-1/2} and one GEMM per block: into modes, B^T M x = U_chi^T
+    (O_chi^T M^{1/2} x), and out of modes, B a = M^{-1/2} O_chi (U_chi a_chi).
     """
 
     def __init__(self, gen: GeneratorMatrix):
-        from scipy.sparse import csc_array, csr_array
+        from scipy.sparse import csc_array, csr_array, hstack
 
         self.gen = gen
         self.weights = gen.weights
@@ -317,18 +322,22 @@ class HeatKernel:
         G = len(perms)
         reps = np.flatnonzero(perms.min(axis=0) == np.arange(V))   # orbit minima
         images = (perms[:, reps].ravel(), np.tile(np.arange(len(reps)), G))
-        # column-major, as LAPACK returns U: the (V, k) products with B.T on
-        # the Duhamel path ran about 20% slower on a row-major B (Vicsek L3,
-        # 2 cores)
-        U = np.zeros((V, V), order="F")
-        lams, start = [], 0
+        bases = []
         for c in range(G):
             chi = np.array([(-1.0) ** bin(e & c).count("1") for e in range(G)])
             # column r sums chi(e) e_{e(r)} over G: the orbit sum of r times
             # its stabilizer's order, or zero if chi is not trivial there
             O = csc_array((np.repeat(chi, len(reps)), images), shape=(V, len(reps)))
             norm = np.sqrt(np.ravel(O.multiply(O).sum(axis=0)))
-            O = O[:, norm > 0].multiply(1.0 / norm[norm > 0]).tocsr()
+            bases.append(O[:, norm > 0].multiply(1.0 / norm[norm > 0]).tocsr())
+        self._block_sizes = tuple(O.shape[1] for O in bases)
+        entries = sum(n * n for n in self._block_sizes)
+        if entries > BLOCK_ENTRY_LIMIT:
+            raise KernelSizeError(
+                f"V = {V} vertices in symmetry blocks {self._block_sizes} need "
+                f"{entries} block entries; the kernel budget is {BLOCK_ENTRY_LIMIT}")
+        self._blocks, lams = [], []
+        for O in bases:
             Sb = (O.T @ S @ O).toarray()
             try:
                 # divide and conquer: the default MRRR routine stalls on the
@@ -337,14 +346,25 @@ class HeatKernel:
                 lam, Ub = scipy.linalg.eigh(0.5 * (Sb + Sb.T), driver="evd")
             except scipy.linalg.LinAlgError as exc:  # pragma: no cover
                 raise KernelError(f"eigendecomposition failed: {exc}") from exc
-            U[:, start:start + len(lam)] = O @ Ub
+            self._blocks.append(Ub)
             lams.append(lam)
-            start += len(lam)
-        U /= self._sqrt_m[:, None]
         self.eigenvalues = np.concatenate(lams)
-        self.B = U
-        self._block_sizes = tuple(len(lam) for lam in lams)
+        ends = np.cumsum(self._block_sizes)
+        self._spans = [slice(e - n, e) for e, n in zip(ends, self._block_sizes)]
+        self._orbits = hstack(bases, format="csc")        # O, columns by block
+        self._in = self._orbits.multiply(self._sqrt_m[:, None]).T.tocsr()
+        self._out = self._orbits.multiply(1.0 / self._sqrt_m[:, None]).tocsr()
         self._duhamel_cache: dict = {}
+
+    @property
+    def B(self) -> np.ndarray:
+        """B = M^{-1/2} O diag(U_c) as a dense (V', V') array, assembled block
+        by block on every access; the operators never form it."""
+        B = np.zeros((self.n_vertices,) * 2, order="F")
+        for U, span in zip(self._blocks, self._spans):
+            B[:, span] = self._orbits[:, span] @ U
+        B /= self._sqrt_m[:, None]
+        return B
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -363,6 +383,35 @@ class HeatKernel:
     @property
     def model(self) -> FractalModel:
         return self.gen.model
+
+    def _to_modes(self, x: np.ndarray) -> np.ndarray:
+        """B^T M x = U_c^T (O_c^T M^{1/2} x) for x of shape (V,) or (V, k):
+        one sparse product, then one GEMM per block, in place."""
+        y = self._in @ x
+        for U, span in zip(self._blocks, self._spans):
+            y[span] = U.T @ y[span]
+        return y
+
+    def _from_modes(self, a: np.ndarray, ids=None, squared: bool = False) -> np.ndarray:
+        """Rows ids (default all) of B a = M^{-1/2} O_c (U_c a_c) for modes a
+        of shape (V,) or (V, k): one GEMM per block, then one sparse product.
+        With squared, of (B * B) a: a row of O_c holds at most one entry, so
+        B * B = (M^{-1/2} O)^2 diag(U_c^2) entrywise."""
+        out = self._out.multiply(self._out) if squared else self._out
+        z = np.empty(a.shape)
+        for U, span in zip(self._blocks, self._spans):
+            z[span] = (U * U if squared else U) @ a[span]
+        return (out if ids is None else out[ids]) @ z
+
+    def _rows(self, ids) -> np.ndarray:
+        """B[ids], (V,) for one index: out of modes for the unit modes, rows
+        first.  A row of M^{-1/2} O holds one entry per block, so block c
+        costs n_c per row."""
+        V = self.n_vertices
+        ids = np.arange(V)[ids]
+        rows = self._out[ids.ravel()]
+        return np.hstack([rows[:, span] @ U for U, span in zip(self._blocks, self._spans)]
+                         ).reshape(*ids.shape, V)
 
     def _exp_lam(self, t) -> np.ndarray:
         """exp(lam t) for one time, (V,), or a vector of times, (K, V)."""
@@ -383,23 +432,24 @@ class HeatKernel:
     def density_rows(self, t: float, ids, clip: bool = True) -> np.ndarray:
         """Rows p(t)[ids, :] without forming the full matrix; with clip, the
         negative entries rounding leaves are set to zero."""
-        rows = (self.B[ids] * self._exp_lam(t)[None, :]) @ self.B.T
+        # p is symmetric: its columns ids are B exp(t lam) B[ids]^T
+        rows = self._from_modes((self._exp_lam(t) * self._rows(ids)).T).T
         if clip and rows.min() < 0:
             rows = np.maximum(rows, 0.0)
         return rows
 
     def diag_density(self, times: np.ndarray) -> np.ndarray:
         """On-diagonal densities p(t, x, x) for a vector of times: (K, V)."""
-        return self._exp_lam(times) @ (self.B * self.B).T
+        return self._from_modes(self._exp_lam(times).T, squared=True).T
 
     def pair_density(self, times: np.ndarray, i: int, j: int) -> np.ndarray:
         """p(t, x_i, x_j) over a vector of times."""
-        return self._exp_lam(times) @ (self.B[i] * self.B[j])
+        bi, bj = self._rows([i, j])
+        return self._exp_lam(times) @ (bi * bj)
 
     def apply(self, t, v: np.ndarray) -> np.ndarray:
         """P(t) @ v for one time, (V,), or a vector of times, (K, V)."""
-        g = self.B.T @ (self.weights * v)
-        return (self.B @ (self._exp_lam(t) * g).T).T
+        return self._from_modes((self._exp_lam(t) * self._to_modes(v)).T).T
 
     def invariant_gaps(self, t: float) -> dict:
         """Semigroup identities of the unclipped P(t): row-sum gap, relative
@@ -449,10 +499,12 @@ class HeatKernel:
 
         source(s) is called once, at the P = DUHAMEL_ORDER Gauss nodes of each
         of the S steps in grid order, and the array it returns is the rule's
-        to overwrite.  One product with B^T moves the samples into modes; each
-        step then advances acc <- exp(lam h) acc + sum_j W_j(lam h) ghat_j,
-        exact in the eigenvalues.  Per-node form (fields None): source returns
-        g itself, (S P, V) or (S P, V, C), and ghat_j = B^T (m g(s_j)).
+        to overwrite.  One call of the into-modes transform moves the samples
+        into modes; each step then advances
+        acc <- exp(lam h) acc + sum_j W_j(lam h) ghat_j, exact in the
+        eigenvalues, and one call out of modes moves every kept grid time
+        back, as (V, K C) columns.  Per-node form (fields None): source
+        returns g itself, (S P, V) or (S P, V, C), and ghat_j = B^T (m g(s_j)).
 
         Separable form: g(s, y, c) = source(s)[y] fields[y, c], with source
         returning (S P, V) values and fields a fixed (V, C) block.  The
@@ -475,16 +527,18 @@ class HeatKernel:
         else:
             coef, Q = _factor_rows(g)
             cols = Q.T[:, :, None] * np.asarray(fields, dtype=float)[:, None, :]
-        ghat = (self.B.T @ (self.weights[:, None] * cols.reshape(V, -1))
-                ).reshape(cols.shape)
+        # C order: a sparse product with a column-major operand runs several
+        # times slower
+        ghat = self._to_modes(np.ascontiguousarray(cols.reshape(V, -1))).reshape(cols.shape)
         accs = [np.zeros((V, ghat.shape[2]))]
         for i, (E, W) in enumerate(steps):
             span = slice(i * P, (i + 1) * P)
             w, added = (W, ghat[:, span]) if coef is None else (W @ coef[span], ghat)
             accs.append(E[:, None] * accs[-1] + np.einsum("kr,krc->kc", w, added))
         keep = range(len(accs)) if at is None else np.asarray(at)
-        rows = self.B if ids is None else self.B[np.asarray(ids)]
-        out = rows @ np.stack([accs[i] for i in keep])
+        kept = np.stack([accs[i] for i in keep], axis=1)                # (V, K, C)
+        out = self._from_modes(kept.reshape(V, -1), ids)
+        out = np.moveaxis(out.reshape(out.shape[:-1] + kept.shape[1:]), -2, 0)
         return out[..., 0] if fields is None and g.ndim == 2 else out
 
     def duhamel_pairs(self, times, source, ids=None) -> np.ndarray:
@@ -502,8 +556,7 @@ class HeatKernel:
         decay = self._exp_lam(times[-1] - times[1:])                  # (S, V)
         weights = np.hstack([d[:, None] * W for d, (_, W) in zip(decay, steps)])
         G = weights @ np.asarray(source(nodes.ravel()), dtype=float)   # (V, V)
-        rows = self.B if ids is None else self.B[np.asarray(ids)]
-        return rows @ (self.B.T * G)
+        return self._from_modes(self._rows(slice(None)).T * G, ids)
 
 
 def scaling_window(model: FractalModel, level: int, blowup: int = 0) -> tuple[float, float]:
@@ -526,17 +579,14 @@ def log_time_grid(t_lo: float, t_hi: float, per_decade: int = 20) -> np.ndarray:
 
 @dataclass
 class HeatKernelTable:
-    """Kernel evaluated on a time grid.
-
-    Diagonals are always stored; dense P(t) matrices only when the graph is
-    small (DENSE_TABLE_LIMIT), otherwise entries are recomputed on demand from
-    the spectral form.
+    """Kernel evaluated on a time grid: the diagonals are stored, and P(t)
+    and its rows are recomputed on demand from the spectral form.
     """
 
     kernel: HeatKernel
     times: np.ndarray
     diag: np.ndarray                       # (K, V) densities p(t, x, x)
-    dense: list[np.ndarray] | None         # P(t) per grid time, or None
+    dense: list[np.ndarray] | None         # unread: kernel() passes None
 
     @property
     def level(self) -> int:
@@ -547,10 +597,6 @@ class HeatKernelTable:
         return self.kernel.model
 
     def transition(self, t: float) -> np.ndarray:
-        if self.dense is not None:
-            hits = np.flatnonzero(self.times == t)     # grid times match exactly
-            if len(hits):
-                return self.dense[hits[0]]
         return self.kernel.transition(t)
 
     def to_csv(self, path, x_ids=None) -> None:
@@ -607,11 +653,7 @@ def kernel(gen: GeneratorMatrix, times: np.ndarray | None = None) -> HeatKernelT
     if not np.all(np.diff(times) > 0):
         raise KernelError("time grid must be strictly increasing")
     hk = HeatKernel(gen)
-    diag = hk.diag_density(times)
-    dense = None
-    if hk.n_vertices <= DENSE_TABLE_LIMIT:
-        dense = [hk.transition(t) for t in times]
-    return HeatKernelTable(hk, times, diag, dense)
+    return HeatKernelTable(hk, times, hk.diag_density(times), None)
 
 
 @dataclass

@@ -277,14 +277,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["kernel", "eta", "solve"])
     def test_oversize_graph_refused_exit2(self, tmp_path, command):
-        # Vicsek level 5 has 9,376 vertices, above the dense kernel budget;
-        # the refusal comes before any V x V allocation and any artifact
+        # Vicsek level 6 has 46,876 vertices, whose symmetry blocks exceed the
+        # kernel budget; the refusal comes before any block and any artifact
         out = tmp_path / "big"
         start = time.monotonic()
-        proc = run_cli(command, "--model", "vicsek", "--level", "5",
+        proc = run_cli(command, "--model", "vicsek", "--level", "6",
                        "--out", str(out), timeout=120)
         assert proc.returncode == EXIT_VALIDATION
-        assert "V = 9376" in proc.stderr and "4000" in proc.stderr
+        assert "V = 46876" in proc.stderr and "25000000" in proc.stderr
         assert not out.exists()
         assert time.monotonic() - start < 30
 

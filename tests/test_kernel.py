@@ -28,7 +28,7 @@ from fractalheat.kernel import (
     verify_holder,
 )
 from fractalheat.measure import BaseSM, realize
-from fractalheat.paramint import HFunction, eval_eta, sigma_preset
+from fractalheat.paramint import HFunction, eval_eta, h_row, sigma_preset
 
 
 _KERNEL_LVL2 = []
@@ -75,13 +75,22 @@ class TestGenerator:
         assert gen.rate == pytest.approx(vicsek.time_scale ** 2)
 
     def test_size_budget_refused(self, vs_cache, monkeypatch):
+        # the budget counts the entries of the dense blocks, sum n_c^2; it is
+        # checked once the group is known, before any block is formed
         vs = vs_cache("vicsek", 1)
-        monkeypatch.setattr(K, "DENSE_EIG_LIMIT", vs.n_vertices)
-        assert build_generator(vs).matrix.shape == (16, 16)
-        monkeypatch.setattr(K, "DENSE_EIG_LIMIT", 15)
         for boundary in ("reflecting", "dirichlet"):
-            with pytest.raises(KernelSizeError, match="V = 16 .* limited to 15"):
-                build_generator(vs, boundary=boundary)
+            gen = build_generator(vs, boundary=boundary)
+            sizes = HeatKernel(gen).block_sizes
+            entries = sum(n * n for n in sizes)
+            monkeypatch.setattr(K, "BLOCK_ENTRY_LIMIT", entries)
+            assert HeatKernel(gen).block_sizes == sizes
+            monkeypatch.setattr(K, "BLOCK_ENTRY_LIMIT", entries - 1)
+            with monkeypatch.context() as m:
+                m.setattr(K.scipy.linalg, "eigh", None)      # no block is factored
+                with pytest.raises(KernelSizeError, match=(
+                        rf"V = {len(gen.kept)} vertices .* {entries} block entries; "
+                        rf"the kernel budget is {entries - 1}")):
+                    HeatKernel(gen)
         assert issubclass(KernelSizeError, KernelError)
 
     @pytest.mark.parametrize("name,level", [("vicsek", 2), ("vicsek", 3),
@@ -613,10 +622,19 @@ class TestSymmetryBlocks:
         ids = [0, V // 3, V - 1]
         rng = np.random.default_rng(3)
         v = rng.normal(size=V)
-        for t in (1e-3, 0.05, 0.4):
-            assert close(kern.density_rows(t, ids, clip=False),
-                         ref.density_rows(t, ids, clip=False))
+        times = np.array([1e-3, 0.05, 0.4])
+        for t in times:
+            for rows in (ids, V // 3, slice(None)):
+                assert close(kern.density_rows(t, rows, clip=False),
+                             ref.density_rows(t, rows, clip=False))
             assert close(kern.apply(t, v), ref.apply(t, v))
+        assert close(kern.apply(times, v), ref.apply(times, v))
+        assert close(kern.diag_density(times), ref.diag_density(times))
+        # one scale for all pairs: the on-diagonal pair sets it, as in a row
+        got, want = (np.stack([k.pair_density(times, i, j) for i, j in
+                               ((0, V - 1), (V // 3, 0), (V // 3, V // 3))])
+                     for k in (kern, ref))
+        assert close(got, want)
         grid = np.array([0.0, 0.05, 0.3, 0.31, 0.7])
         fields = rng.normal(size=(V, 2))
         modes = rng.normal(size=(2, V))
@@ -636,6 +654,9 @@ class TestSymmetryBlocks:
         sigma = sigma_preset("smooth", model)
         got, want = (eval_eta(HFunction(k, sigma, strict=False), real,
                               [0.25, 1.0], level + 1).partial for k in (kern, ref))
+        assert close(got, want)
+        got, want = (h_row(HFunction(k, sigma, strict=False), 0.3, V // 3)
+                     for k in (kern, ref))
         assert close(got, want)
 
     def test_trivial_group_is_plain_eigh(self, generator_cache, monkeypatch):
@@ -728,6 +749,56 @@ class TestSpectralSeam:
             if lines:
                 reads[path.name] = lines
         assert reads == {}
+
+    def test_no_operator_reads_the_dense_basis(self):
+        # HeatKernel.B assembles the dense V' x V' basis on each access; the
+        # operators work through the block transforms alone
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "src" / "fractalheat" / "kernel.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        cls = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "HeatKernel")
+        methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+        assert "B" in methods and "duhamel" in methods    # the scan sees the class
+        reads = {}
+        for name, node in methods.items():
+            lines = [sub.lineno for sub in ast.walk(node)
+                     if isinstance(sub, ast.Attribute) and sub.attr == "B"
+                     and isinstance(sub.value, ast.Name) and sub.value.id == "self"]
+            if lines and name != "B":
+                reads[name] = lines
+        assert reads == {}
+
+    def test_kernel_holds_no_square_array(self, kernel_cache):
+        # the blocks hold sum n_c^2 = V^2 / 4 entries on Vicsek; nothing the
+        # kernel keeps, after every operator has run, is V x V
+        kern = kernel_cache("vicsek", 3)
+        V = kern.n_vertices
+        grid = np.linspace(0.0, 0.2, 5)
+        kern.duhamel(grid, lambda s: np.ones((len(s), V)))
+        kern.duhamel_pairs(grid, lambda s: np.ones((len(s), V)), ids=0)
+        kern.apply(0.1, np.ones(V))
+        kern.density_rows(0.1, [0, 1])
+        kern.diag_density(grid[1:])
+        sizes, seen, todo = [], set(), [kern]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                sizes.append(obj.size)
+            elif scipy.sparse.issparse(obj):
+                sizes.append(obj.nnz)
+            elif isinstance(obj, (list, tuple)):
+                todo.extend(obj)
+            elif isinstance(obj, dict):
+                todo.extend(obj.values())
+            elif hasattr(obj, "__dict__"):
+                todo.extend(vars(obj).values())
+        assert len(kern._blocks) == 4 and sum(b.size for b in kern._blocks) < V * V / 3
+        assert max(sizes) < V * V
 
 
 def _called_name(func):
