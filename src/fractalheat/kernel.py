@@ -40,7 +40,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+# Every dense factorization and product runs on numpy's BLAS, so a run keeps
+# one OpenBLAS thread pool (a second pool, scipy's, left spinning after each
+# call, contends with numpy's for the cores).  scipy.linalg is imported all
+# the same: it loads scipy's shared core (0.2-0.3 s on 2 vCPUs, mostly its
+# array-API shim importing numpy.f2py, numpy.testing and numpy.ma), which would
+# otherwise land in the first operation that reaches scipy.sparse
+import scipy.linalg  # noqa: F401
 
 from . import _text
 from .geometry import DEDUP_DECIMALS, FractalModel, VertexSet, measure_weights
@@ -78,6 +84,9 @@ DENSE_TABLE_LIMIT = 600
 DUHAMEL_ORDER = 8
 # step lengths whose Duhamel weights a kernel keeps
 DUHAMEL_CACHE = 256
+# entries per row chunk of _factor_rows' rank-1 update (256 KiB of float64):
+# the chunk's c q^T stays in cache, and no second (n, v) array is formed
+UPDATE_CHUNK = 32768
 
 
 class KernelError(RuntimeError):
@@ -210,10 +219,9 @@ def _factor_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residual row exceeds the rounding level max(n, v) eps max_i |a_i|.  The
     first R rows of a then hold q, returned as a view; coef is (n, R).
     """
-    from scipy.linalg.blas import dger
-
-    a = np.ascontiguousarray(a, dtype=float)      # dger updates rows in place
+    a = np.ascontiguousarray(a, dtype=float)      # rows are updated in place
     n, v = a.shape
+    chunk = max(1, UPDATE_CHUNK // v)
     norms = np.sqrt(np.einsum("ij,ij->i", a, a))
     tol = max(n, v) * np.finfo(float).eps * norms.max(initial=0.0)
     if not np.isfinite(tol):
@@ -237,7 +245,8 @@ def _factor_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rest = a[r + 1:]
         if len(rest):
             c = rest @ q
-            dger(-1.0, q, c, a=rest.T, overwrite_a=1)     # rest -= c q^T in place
+            for i in range(0, len(rest), chunk):          # rest -= c q^T in place
+                rest[i:i + chunk] -= c[i:i + chunk, None] * q
             coef[r + 1:, r] = c
             norms[r + 1:] = np.sqrt(np.einsum("ij,ij->i", rest, rest))
         r += 1
@@ -339,13 +348,17 @@ class HeatKernel:
         self._blocks, lams = [], []
         for O in bases:
             Sb = (O.T @ S @ O).toarray()
+            # the two triangles of Sb are summed in different orders, equal
+            # only to rounding; symmetrized in place, as eigh copies its input
+            Sb += Sb.T
+            Sb *= 0.5
             try:
-                # divide and conquer: the default MRRR routine stalls on the
-                # highly degenerate Vicsek spectrum.  The two triangles of Sb
-                # are summed in different orders, equal only to rounding
-                lam, Ub = scipy.linalg.eigh(0.5 * (Sb + Sb.T), driver="evd")
-            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+                # LAPACK ?syevd, divide and conquer: the MRRR routine (?syevr)
+                # stalls on the highly degenerate Vicsek spectrum
+                lam, Ub = np.linalg.eigh(Sb)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise KernelError(f"eigendecomposition failed: {exc}") from exc
+            del Sb                        # freed before the next block is formed
             self._blocks.append(Ub)
             lams.append(lam)
         self.eigenvalues = np.concatenate(lams)

@@ -64,3 +64,40 @@ def test_cli_import_loads_no_heavy_scipy_module():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def _dotted(node):
+    """'a.b.c' for a Name or an Attribute chain on a Name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_dense_linear_algebra_runs_on_numpy():
+    # numpy and scipy each bring their own OpenBLAS; a call into scipy's
+    # leaves its thread pool spinning next to numpy's.  The bare
+    # `import scipy.linalg` (kernel.py) only loads scipy's core early
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = {"scipy.linalg"}             # the module and its aliases
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names |= {a.asname for a in node.names
+                          if a.asname and a.name.startswith("scipy.linalg")}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").startswith("scipy.linalg")
+                    or (node.module == "scipy" and any(a.name == "linalg" for a in node.names))):
+                bad.append(f"{where} from {node.module} import ...")
+            elif isinstance(node, ast.Import):
+                bad += [f"{where} import {a.name}" for a in node.names
+                        if a.name.startswith("scipy.linalg.")]
+            elif isinstance(node, ast.Call):
+                name = _dotted(node.func) or ""
+                if any(name.startswith(n + ".") for n in names):
+                    bad.append(f"{where} calls {name}")
+    assert not bad, f"scipy.linalg used in src/: {bad}"

@@ -86,7 +86,7 @@ class TestGenerator:
             assert HeatKernel(gen).block_sizes == sizes
             monkeypatch.setattr(K, "BLOCK_ENTRY_LIMIT", entries - 1)
             with monkeypatch.context() as m:
-                m.setattr(K.scipy.linalg, "eigh", None)      # no block is factored
+                m.setattr(K.np.linalg, "eigh", None)         # no block is factored
                 with pytest.raises(KernelSizeError, match=(
                         rf"V = {len(gen.kept)} vertices .* {entries} block entries; "
                         rf"the kernel budget is {entries - 1}")):
@@ -543,7 +543,9 @@ def test_log_time_grid_refuses_grids_nobody_asked_for(t_lo, t_hi, per_decade):
 
 
 def _plain_eigh(gen):
-    """Plain eigh of the dense symmetrized S: (S, lam, B)."""
+    """Plain eigh of the dense symmetrized S: (S, lam, B).  On scipy's evd,
+    the same LAPACK routine as the kernel's numpy eigh from a second LAPACK
+    build, so it stays an independent oracle."""
     sm = np.sqrt(gen.weights)
     S = (sm[:, None] * gen.matrix) / sm[None, :]
     S = 0.5 * (S + S.T)

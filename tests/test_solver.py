@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -75,6 +76,16 @@ class TestGate:
 
     def test_gate_threshold_values(self, vicsek, gasket):
         assert vicsek.d_s < 4 / 3 < gasket.d_s
+
+    # 4/3 one ulp low, 4/3 as the float 4 / 3, and 3D Vicsek's log 81 / log 27
+    @pytest.mark.parametrize("d_s", [np.nextafter(4 / 3, 0.0), 4 / 3,
+                                     math.log(81) / math.log(27)])
+    def test_critical_spectral_dimension_refused(self, vicsek, d_s):
+        # d_s = 4/3 is refused whichever way its float rounds
+        model = dataclasses.replace(vicsek, d_s=d_s)
+        report = assumption_gate(prepare(ProblemSpec(model, level=1, depth=2)))
+        assert report.failures() == ["A7 spectral dimension below 4/3"]
+        assert f"d_s = {d_s!r} is critical" in str(report)
 
 
 class TestDeterministicTerm:
