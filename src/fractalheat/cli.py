@@ -24,7 +24,7 @@ import sys
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
-from .kernel import KernelSizeError, log_time_grid
+from .kernel import KernelSizeError, log_time_grid, scaling_window
 from .paramint import ParamIntegralError
 from .solver import AssumptionGateError, ProblemSpec, SolverError, bump_center
 
@@ -297,14 +297,22 @@ def cmd_model(cfg: dict) -> list[str]:
     return ["vertices.csv", "model.txt"]
 
 
+def _default_window(cfg: dict, T: float = math.inf) -> tuple[float, float]:
+    """The scaling window up to T, the default time grid's span; refused if empty."""
+    lo, hi = scaling_window(cfg["model"], cfg["level"], cfg["blowup"])
+    hi = min(hi, T)
+    if lo >= hi:
+        raise ValidationError(f"the default time grid, the scaling window [{lo:g}, {hi:g}], "
+                              f"is empty at level {cfg['level']}; pass --times")
+    return lo, hi
+
+
 def cmd_kernel(cfg: dict) -> list[str]:
     """heat kernel table on a time grid"""
     from .geometry import vertex_set
-    from .kernel import DENSE_TABLE_LIMIT, build_generator, kernel, scaling_window
-    lo, hi = scaling_window(cfg["model"], cfg["level"], cfg["blowup"])
-    if cfg["times"] is None and lo >= hi:
-        raise ValidationError(f"the default time grid, the scaling window [{lo:g}, {hi:g}], "
-                              f"is empty at level {cfg['level']}; pass --times")
+    from .kernel import DENSE_TABLE_LIMIT, build_generator, kernel
+    if cfg["times"] is None:
+        _default_window(cfg)
     vs = vertex_set(cfg["model"], cfg["level"], cfg["blowup"])
     gen = build_generator(vs, boundary=cfg["boundary"])
     x_ids = cfg["x_ids"]
@@ -345,7 +353,7 @@ def cmd_eta(cfg: dict) -> list[str]:
     import numpy as np
 
     from .geometry import vertex_set
-    from .kernel import HeatKernel, build_generator, scaling_window
+    from .kernel import HeatKernel, build_generator
     from .measure import realize
     from .paramint import HFunction, eval_eta
     _check_depth(cfg)
@@ -354,8 +362,7 @@ def cmd_eta(cfg: dict) -> list[str]:
         raise ValidationError(f"sigma {sigma.name!r}: Hoelder exponent {sigma.holder_exp} "
                               f"is not above d_f/2 = {model.d_f / 2:.4f}")
     if times is None:
-        lo, hi = scaling_window(model, cfg["level"], cfg["blowup"])
-        times = np.geomspace(lo, min(hi, T), 8)
+        times = np.geomspace(*_default_window(cfg, T), 8)
     if times.max() > T:
         raise ValidationError(f"times reach {times.max():g}, beyond the horizon T = {T:g}")
     vs = vertex_set(model, cfg["level"], cfg["blowup"])

@@ -84,6 +84,9 @@ DENSE_TABLE_LIMIT = 600
 DUHAMEL_ORDER = 8
 # step lengths whose Duhamel weights a kernel keeps
 DUHAMEL_CACHE = 256
+# relative rounding level of a kernel row: densities (and their increments)
+# below this factor of the row maximum are noise of the spectral sums
+ROUNDING_FLOOR = 1e-13
 # entries per row chunk of _factor_rows' rank-1 update (256 KiB of float64):
 # the chunk's c q^T stays in cache, and no second (n, v) array is formed
 UPDATE_CHUNK = 32768
@@ -524,18 +527,21 @@ class HeatKernel:
         samples are factored as coef @ Q (_factor_rows, Q with orthonormal
         rows, cut at the rounding level max(S P, V) eps max_i |row_i|), so a
         source of rank R in (s, y) moves only the R C columns Q_r * fields
-        into modes, a step adds them with the coefficients W coef_step, and
-        the result matches the per-node form to rounding.
+        into modes, as ghat (V, R, C).  The steps advance the (V, R)
+        coefficients, acc <- exp(lam h) acc + W coef_step, and only the kept
+        times are expanded, by acc ghat per mode; the result matches the
+        per-node form to rounding.
 
-        The result holds rows ids (default all) at the grid indices at
-        (default every grid time), shape (K, X) for an (S P, V) per-node
-        source, else (K, X, C); it is zero at t_0.
+        The result holds rows ids (default all; one index drops the axis) at
+        the grid indices at (default every grid time), shape (K, X) for an
+        (S P, V) per-node source, else (K, X, C); it is zero at t_0.
         """
         nodes, steps = self._duhamel_steps(times)
         P, V = nodes.shape[1], self.n_vertices
         g = np.asarray(source(nodes.ravel()), dtype=float)
+        squeeze = fields is None and g.ndim == 2
         if fields is None:
-            coef = None
+            coef = Q = None
             cols = np.moveaxis(g.reshape(len(g), V, -1), 0, 1)          # (V, S P, C)
         else:
             coef, Q = _factor_rows(g)
@@ -543,33 +549,21 @@ class HeatKernel:
         # C order: a sparse product with a column-major operand runs several
         # times slower
         ghat = self._to_modes(np.ascontiguousarray(cols.reshape(V, -1))).reshape(cols.shape)
-        accs = [np.zeros((V, ghat.shape[2]))]
+        del g, Q, cols                    # the samples are in modes
+        accs = [np.zeros((V, ghat.shape[2] if coef is None else coef.shape[1]))]
         for i, (E, W) in enumerate(steps):
             span = slice(i * P, (i + 1) * P)
-            w, added = (W, ghat[:, span]) if coef is None else (W @ coef[span], ghat)
-            accs.append(E[:, None] * accs[-1] + np.einsum("kr,krc->kc", w, added))
+            added = (np.einsum("kr,krc->kc", W, ghat[:, span]) if coef is None
+                     else W @ coef[span])
+            accs.append(E[:, None] * accs[-1] + added)
         keep = range(len(accs)) if at is None else np.asarray(at)
-        kept = np.stack([accs[i] for i in keep], axis=1)                # (V, K, C)
+        kept = np.stack([accs[i] for i in keep], axis=1)                # (V, K, R or C)
+        if coef is not None:
+            kept = np.einsum("kjr,krc->kjc", kept, ghat)                # (V, K, C)
+        del ghat
         out = self._from_modes(kept.reshape(V, -1), ids)
         out = np.moveaxis(out.reshape(out.shape[:-1] + kept.shape[1:]), -2, 0)
-        return out[..., 0] if fields is None and g.ndim == 2 else out
-
-    def duhamel_pairs(self, times, source, ids=None) -> np.ndarray:
-        """Pair form of the rule of duhamel() to the last grid time t_K:
-        H[x, y] = int_{t_0}^{t_K} p(t_K - s, x, y) g(s, y) ds for x in ids
-        (an index or an index array; default all rows) and every y.
-
-        source(s) is called once, as in duhamel(), and returns g at all S P
-        Gauss nodes as an (S P, V) array.  In modes,
-        G[k, y] = int exp(lam_k (t_K - s)) g(s, y) ds and
-        H[x, y] = sum_k B[x, k] B[y, k] G[k, y].
-        """
-        times = np.asarray(times, dtype=float)
-        nodes, steps = self._duhamel_steps(times)
-        decay = self._exp_lam(times[-1] - times[1:])                  # (S, V)
-        weights = np.hstack([d[:, None] * W for d, (_, W) in zip(decay, steps)])
-        G = weights @ np.asarray(source(nodes.ravel()), dtype=float)   # (V, V)
-        return self._from_modes(self._rows(slice(None)).T * G, ids)
+        return out[..., 0] if squeeze else out
 
 
 def scaling_window(model: FractalModel, level: int, blowup: int = 0) -> tuple[float, float]:
@@ -781,8 +775,7 @@ def verify_holder(table: HeatKernelTable, model: FractalModel | None = None,
     for t in times:
         rows = kern.density_rows(float(t), xs, clip=False)
         dp = np.abs(rows[:, pa] - rows[:, pb])           # (X, pairs)
-        floor = 1e-13 * rows.max()
-        mask = dp > floor
+        mask = dp > ROUNDING_FLOOR * rows.max()
         if mask.sum() < 10:
             continue
         ld = np.log(np.broadcast_to(dist, dp.shape)[mask])
@@ -824,8 +817,8 @@ def fit_subgaussian(table: HeatKernelTable, model: FractalModel | None = None,
                     holder: HolderFit | None = None, seed: int = 0) -> KernelBoundFit:
     """Nonlinear least squares for (c2, c3, d_J) in
     log(p t^{d_s/2}) ~ log c2 - c3 (|x-y|^{d_w}/t)^{1/(d_J-1)}, over the rows
-    of 12 sampled vertices at 5 times of the scaling window, densities above
-    1e-250."""
+    of 12 sampled vertices at 5 times of the scaling window; a row keeps its
+    densities above ROUNDING_FLOOR times its maximum (the rest is rounding)."""
     from scipy.optimize import least_squares
 
     model = table.model if model is None else model
@@ -842,7 +835,7 @@ def fit_subgaussian(table: HeatKernelTable, model: FractalModel | None = None,
         rows = kern.density_rows(float(t), xs)
         for xi, row in zip(xs, rows):
             dist = np.linalg.norm(pts - pts[xi], axis=1)
-            ok = (row > 1e-250) & (dist > 0)
+            ok = (row > ROUNDING_FLOOR * row.max()) & (dist > 0)
             ts_data.append(np.full(ok.sum(), t))
             dist_data.append(dist[ok])
             p_data.append(row[ok])

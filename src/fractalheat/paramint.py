@@ -1,13 +1,14 @@
 """Stochastic parameter integrals eta(z) = int h(z, y) dmu(y) by multiscale cell sums.
 
-The integrand is h((t, x), y) = int_0^t p(t - s, x, y) sigma(s, y) ds.  The s
-integral runs through the kernel's Duhamel rule (HeatKernel.duhamel): on each
-step of a grid from 0, refined so no step exceeds ETA_MAX_STEP * T, sigma is
-interpolated at Gauss nodes and the semigroup factor exp(lam (t - s)) is
-integrated exactly in every eigenvalue.  eval_eta hands sigma to the rule's
-separable form: sigma is called once with every Gauss node, and every level's
-source sigma(s, y) agg_n(y) enters the eigenbasis once per factor of those
-samples (one for every shipped preset), not once per node.
+The integrand is h((t, x), y) = int_0^t p(t - s, x, y) sigma(s, y) ds.  h_matrix,
+h_row and eval_eta all make one call of the kernel's Duhamel rule
+(HeatKernel.duhamel, through _duhamel_h): on each step of a grid from 0,
+refined so no step exceeds ETA_MAX_STEP * T, sigma is interpolated at Gauss
+nodes and the semigroup factor exp(lam (t - s)) is integrated exactly in
+every eigenvalue.  sigma is called once with every Gauss node and enters the
+rule's separable form against fixed fields, diag(1/m) for h and agg_n / m for
+eta: it reaches the eigenbasis once per factor of the samples (one for every
+shipped preset), not once per node.
 
 eval_h keeps the older, independent rule as an oracle: Gauss-Legendre panels
 graded dyadically toward s = t, whose dropped head below t * 2^-50
@@ -225,20 +226,23 @@ def _duhamel_grid(hf: HFunction, times) -> tuple[np.ndarray, np.ndarray]:
 
 
 def h_matrix(hf: HFunction, t: float) -> np.ndarray:
-    """All-pairs matrix H[x, y] = h((t, x), y); one V^3 product per time."""
-    return _h_pairs(hf, t, None)
+    """All-pairs matrix H[x, y] = h((t, x), y): the separable Duhamel form with
+    fields diag(1/m), so column y carries sigma(s, y) at vertex y alone."""
+    return _duhamel_h(hf, [t], np.diag(1.0 / hf.kernel.weights))[0]
 
 
 def h_row(hf: HFunction, t: float, x_id: int) -> np.ndarray:
-    """Row h((t, x_id), y) over all kernel vertices y at V^2 cost per
-    quadrature node."""
-    return _h_pairs(hf, t, x_id)
+    """Row h((t, x_id), y) over all kernel vertices y: h_matrix's call, one row."""
+    return _duhamel_h(hf, [t], np.diag(1.0 / hf.kernel.weights), x_id)[0]
 
 
-def _h_pairs(hf: HFunction, t: float, ids) -> np.ndarray:
-    """Rows ids of h((t, .), .) by the pair form of the kernel's Duhamel rule."""
-    grid, _ = _duhamel_grid(hf, [t])
-    return hf.kernel.duhamel_pairs(grid, lambda nodes: hf.sigma(nodes, hf.points), ids)
+def _duhamel_h(hf: HFunction, times, fields, ids=None) -> np.ndarray:
+    """int_0^t P(t - s) [sigma(s, .) fields] ds at the times, rows ids: the
+    kernel's separable Duhamel form on the grid of _duhamel_grid, with sigma
+    called once at every Gauss node; (K, X, C), or (K, C) for one index."""
+    grid, at = _duhamel_grid(hf, times)
+    return hf.kernel.duhamel(grid, lambda nodes: hf.sigma(nodes, hf.points), ids=ids,
+                             fields=fields, at=at)
 
 
 @dataclass
@@ -292,14 +296,10 @@ def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
     """Evaluate the cell-sum scheme on (z_times x x_ids), x_ids default all.
 
     For each level the cell masses are aggregated onto their (snapped) anchor
-    vertices; one Duhamel sweep over the grid then carries the sources
-    sigma(s, .) * agg_n of all levels at once, so no V x V matrix is formed.
-    The sweep uses the kernel's separable form with fields agg_n / m: sigma
-    is called once with every Gauss node, the (node, vertex) samples are factored
-    to their numerical rank R, and R x levels columns are moved into modes
-    instead of nodes x levels.  Only the grid times in z_times are moved
-    back to vertices.  The result matches integrate() with g = h(z, .) up
-    to summation order.
+    vertices; one _duhamel_h call, with fields agg_n / m, then carries the
+    sources sigma(s, .) agg_n of all levels at once, so no V x V matrix is
+    formed.  The result matches integrate() with g = h(z, .) up to summation
+    order.
     """
     if real.n_max < n_max:
         raise ParamIntegralError("measure realization shallower than n_max")
@@ -315,10 +315,7 @@ def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
         kept = ids >= 0               # anchors on killed vertices add nothing
         np.add.at(agg[n], ids[kept], real.level_masses(n)[kept])
     # the operator integrates against the vertex weights, eta against mu
-    per_weight = (agg / kern.weights).T                            # (V, levels)
-    grid, at = _duhamel_grid(hf, times)
-    vals = kern.duhamel(grid, lambda nodes: hf.sigma(nodes, hf.points), ids=rows,
-                        fields=per_weight, at=at)                  # (K, X, levels)
+    vals = _duhamel_h(hf, times, (agg / kern.weights).T, rows)     # (K, X, levels)
     x_ids = np.arange(V) if rows is None else rows
     return EtaEvaluation(times, x_ids, vals.transpose(2, 0, 1))
 

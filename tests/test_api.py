@@ -101,3 +101,25 @@ def test_dense_linear_algebra_runs_on_numpy():
                 if any(name.startswith(n + ".") for n in names):
                     bad.append(f"{where} calls {name}")
     assert not bad, f"scipy.linalg used in src/: {bad}"
+
+
+def test_one_duhamel_implementation():
+    # the Duhamel steps (nodes, exp(lam h), weights) are read in one place;
+    # h, eta and the solver's fields all reach them through HeatKernel.duhamel
+    callers = []
+
+    def scan(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                scan(child, scope + [child.name], path)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "_duhamel_steps":
+                    callers.append(f"{path.name}:{'.'.join(scope)}")
+            scan(child, scope, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        scan(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), [], path)
+    assert callers == ["kernel.py:HeatKernel.duhamel"]

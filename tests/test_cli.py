@@ -142,8 +142,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["--times", "2"], ["--times", "0.5:3:lin4"],
                                       ["--T", "0.001"]], ids=" ".join)
     def test_eta_times_beyond_horizon_refused(self, tmp_path, monkeypatch, argv):
-        # refused before any vertex set is built; the default geomspace grid
-        # starts past a horizon T below the scaling window
+        # refused before any vertex set is built; a horizon T below the
+        # scaling window leaves the default grid empty
         import fractalheat.geometry as geometry
 
         def no_vertex_set(*args, **kwargs):
@@ -218,6 +218,24 @@ class TestExitCodes:
         assert "--times" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--level", "1"], ["--model", "gasket", "--level", "1"],
+        ["--level", "3", "--T", "0.001"],
+    ], ids=" ".join)
+    def test_eta_empty_default_window_refused(self, tmp_path, monkeypatch, capsys, argv):
+        # eta's default grid spans the scaling window up to min(0.5, T); on
+        # level 1 it would run backwards from 10 time_scale^-1 to 0.5
+        import fractalheat.geometry as geometry
+
+        def no_vertex_set(*args, **kwargs):
+            raise AssertionError("vertex set built before the time window was checked")
+
+        monkeypatch.setattr(geometry, "vertex_set", no_vertex_set)
+        out = tmp_path / "out"
+        assert main(["eta", *argv, "--depth", "2", "--out", str(out)]) == EXIT_VALIDATION
+        assert "--times" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["override_gate = bogus", "override_gate = on",
                                       "command = model", "action = sample",
                                       "config = other.ini"])
@@ -262,8 +280,9 @@ class TestExitCodes:
         cfg = tmp_path / "t.ini"
         cfg.write_text("[run]\nT = 2.0\n")
         out = tmp_path / "out"
+        # level 1 has an empty scaling window, so the times are given
         assert main(["--config", str(cfg), "eta", "--level", "1", "--depth", "2",
-                     "--out", str(out)]) == EXIT_OK
+                     "--times", "0.5", "--out", str(out)]) == EXIT_OK
         assert "t = 2.0\n" in (out / "config_resolved.ini").read_text()
 
     def test_threads_knob_removed(self, tmp_path):

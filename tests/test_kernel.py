@@ -441,17 +441,19 @@ class TestDuhamel:
         full = kern.duhamel(grid, counted)
         assert np.allclose(kern.duhamel(grid, source, ids=[4, 9]), full[:, [4, 9]],
                            rtol=0, atol=1e-15)
-        # summed against the vertex weights, the pair form is the last row
-        pairs = kern.duhamel_pairs(grid, counted)
+        # with fields diag(1/m), column y of the separable form is the source
+        # at y alone; summed against the vertex weights, it is the last row
+        last, per_y = [len(grid) - 1], np.diag(1.0 / kern.weights)
+        pairs = kern.duhamel(grid, counted, fields=per_y, at=last)[0]
         # each form samples the source once, at every node of the grid
         assert len(calls) == 2
         for nodes in calls:
             assert np.array_equal(nodes, _grid_nodes(grid))
         assert np.abs(pairs @ kern.weights - full[-1]).max() < 1e-13
         scale = np.abs(pairs).max()
-        sub = kern.duhamel_pairs(grid, source, ids=[4, 9])
+        sub = kern.duhamel(grid, source, ids=[4, 9], fields=per_y, at=last)[0]
         assert np.abs(sub - pairs[[4, 9]]).max() < 1e-15 * scale
-        row = kern.duhamel_pairs(grid, source, ids=9)
+        row = kern.duhamel(grid, source, ids=9, fields=per_y, at=last)[0]
         assert row.shape == (kern.n_vertices,)
         assert np.abs(row - pairs[9]).max() < 1e-15 * scale
 
@@ -517,6 +519,25 @@ class TestSubgaussian:
         diag_scaled = tab.diag[mask] * tab.times[mask, None] ** (vicsek.d_s / 2)
         envelope_c2 = fit.c2 * math.exp(fit.max_residual)
         assert diag_scaled.max() <= envelope_c2 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("name,level", [("vicsek", 3), ("gasket", 5)])
+    def test_fit_ignores_rounding_level_densities(self, table_cache, monkeypatch,
+                                                  name, level):
+        # densities at the rounding level of the spectral sums carry no tail:
+        # moving every one by +-5e-15 leaves the fitted constants in place
+        tab = table_cache(name, level)
+        holder = verify_holder(tab)
+        ref = fit_subgaussian(tab, holder=holder)
+        rows, rng = tab.kernel.density_rows, np.random.default_rng(0)
+
+        def moved(t, ids, clip=True):
+            out = rows(t, ids, clip)
+            return out + 5e-15 * rng.choice([-1.0, 1.0], size=out.shape)
+
+        monkeypatch.setattr(tab.kernel, "density_rows", moved)
+        fit = fit_subgaussian(tab, holder=holder)
+        for key in ("c2", "c3", "d_J"):
+            assert getattr(fit, key) == pytest.approx(getattr(ref, key), rel=1e-4), key
 
 
 def test_scaling_window_values(vicsek):
@@ -779,7 +800,8 @@ class TestSpectralSeam:
         V = kern.n_vertices
         grid = np.linspace(0.0, 0.2, 5)
         kern.duhamel(grid, lambda s: np.ones((len(s), V)))
-        kern.duhamel_pairs(grid, lambda s: np.ones((len(s), V)), ids=0)
+        kern.duhamel(grid, lambda s: np.ones((len(s), V)), ids=0,
+                     fields=np.diag(1.0 / kern.weights), at=[len(grid) - 1])
         kern.apply(0.1, np.ones(V))
         kern.density_rows(0.1, [0, 1])
         kern.diag_density(grid[1:])
