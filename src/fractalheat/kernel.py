@@ -17,16 +17,21 @@ S is factored block by block.  A nested fractal is mapped to itself by the
 reflection in the hyperplane bisecting any two essential fixed points
 (Lindstrom, Mem. AMS 420, 1990); the reflections that verifiably keep the
 generator and the weights, reduced to a maximal commuting set, form a group
-Z2^k (Z2 x Z2 on Vicsek, Z2 on the gasket).  In its symmetry-adapted basis
-(Fassler & Stiefel, Group Theoretical Methods and Their Applications, 1992),
-the signed orbit sums held as the columns of one sparse O_c per character c,
-S splits into the blocks O_c^T S O_c, so the eigensolve costs the sum of
-block^3: about V^3 / 16 on Vicsek and V^3 / 4 on the gasket.  A generator
-with no verified symmetry is one block, the plain eigh of S.  The kernel
-holds O sparse and the blocks U_c dense, sum n_c^2 entries (V^2 / 4 on
-Vicsek), and never B itself, so each transform is one sparse product and one
-GEMM per block.  HeatKernel refuses groups whose blocks exceed
-BLOCK_ENTRY_LIMIT with KernelSizeError before it forms any block.
+G = Z2^k (Z2 x Z2 on Vicsek, Z2 on the gasket).  In its symmetry-adapted
+basis (Fassler & Stiefel, Group Theoretical Methods and Their Applications,
+1992), the signed orbit sums held as the columns of one sparse O_c per
+character c, S splits into the blocks O_c^T S O_c.  One more verified
+reflection D that normalizes G (a diagonal one on Vicsek, where G and D
+generate D4 in 2D; none on the gasket) maps the span of each block onto a
+block span.  Onto another one: that block is the first one's U in the basis
+P_D O_c, factored once.  Onto itself: the block splits into the +1 and -1
+halves of D.  The eigensolve costs the sum of block^3 over the factored
+blocks: about V^3 / 43 on Vicsek and V^3 / 4 on the gasket.  A generator with
+no verified symmetry is one block, the plain eigh of S.  The kernel holds O
+sparse and the distinct blocks U dense (about V^2 / 8 entries on Vicsek,
+V^2 / 2 on the gasket), and never B itself, so each transform is one sparse
+product and one GEMM per block.  HeatKernel refuses groups whose blocks
+exceed BLOCK_ENTRY_LIMIT with KernelSizeError before it forms any block.
 
 Diagnostics estimate the on-diagonal decay exponent (spectral dimension), the
 spatial Hoelder exponent of the kernel, and a sub-Gaussian upper envelope
@@ -69,11 +74,11 @@ __all__ = [
     "duhamel_weights",
 ]
 
-# budget on the entries of the dense blocks U_c, sum n_c^2 (200 MB of
+# budget on the entries of the distinct dense blocks U, sum n^2 (200 MB of
 # float64): HeatKernel refuses larger groups before it forms a block.  It
-# holds every graph up to V = 5,000 (sum n_c^2 <= V^2), Vicsek level 5
-# (4 x 2,344^2 = 2.2e7) and 3D Vicsek level 3; Vicsek level 6 (5.5e8) and
-# gasket level 8 (4.8e7) are refused
+# holds every graph up to V = 5,000 (sum n^2 <= V^2), Vicsek level 5
+# (2 x 1,233^2 + 2 x 1,111^2 + 2,344^2 = 1.1e7, about V^2 / 8) and 3D Vicsek
+# level 3; Vicsek level 6 (2.7e8) and gasket level 8 (4.8e7) are refused
 BLOCK_ENTRY_LIMIT = 25_000_000
 # full P(t) exports (binary, or CSV of every row) are refused above this size
 DENSE_TABLE_LIMIT = 600
@@ -258,34 +263,46 @@ def _factor_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, a[:r]
 
 
-def _reflection_group(gen: GeneratorMatrix) -> np.ndarray:
+def _reflection_group(gen: GeneratorMatrix) -> tuple[np.ndarray, np.ndarray | None]:
     """Commuting reflection symmetries of a generator, as a (2^k, V') array of
-    vertex permutations; row e applies the generators whose bits e sets.
+    vertex permutations (row e applies the generators whose bits e sets), and
+    one more reflection D outside that group that normalizes it (D g D is in
+    the group for every g), as a (V',) permutation, or None.
 
     The candidates are the reflections in the hyperplanes bisecting pairs of
     essential fixed points (blow-up scaled), which map a nested fractal and
-    its vertex graph to itself.  A candidate is kept only if it permutes the
-    kernel's points (matched within the dedup tolerance) and leaves L and the
-    weights exactly unchanged, and only if it commutes with the reflections
-    kept before it and lies outside the group they generate.  A generator
-    without a vertex set has the trivial group.
+    its vertex graph to itself.  A candidate is verified only if it permutes
+    the kernel's points (matched by their coordinates rounded to
+    DEDUP_DECIMALS, as vertex_set identifies them) and leaves L and the
+    weights exactly unchanged.  The group takes each verified candidate that
+    commutes with the reflections kept before it and lies outside the group
+    they generate; D is the first other verified candidate that normalizes
+    the final group.  On Vicsek that is a diagonal reflection (in 2D the
+    group and D generate D4); the gasket has none.  A generator without a
+    vertex set has the trivial group and no D.
     """
-    from scipy.spatial import cKDTree
-
     V = len(gen.weights)
     group = np.arange(V)[None, :]
     if gen.vs is None:
-        return group
+        return group, None
     model = gen.model
     pts = gen.points
-    tree = cKDTree(pts)
     ess = model.alpha ** gen.vs.blowup * model.essential_fixed_points
     L = gen.L
+    keys = np.round(pts, DEDUP_DECIMALS)
+    order = np.lexsort(keys.T)
+    others = []
     for a, b in itertools.combinations(ess, 2):
         n = (b - a) / np.linalg.norm(b - a)
-        image = pts - 2.0 * ((pts - 0.5 * (a + b)) @ n)[:, None] * n
-        dist, g = tree.query(image, distance_upper_bound=10.0 ** -DEDUP_DECIMALS)
-        if not (np.all(np.isfinite(dist)) and np.array_equal(g[g], group[0])
+        image = np.round(pts - 2.0 * ((pts - 0.5 * (a + b)) @ n)[:, None] * n,
+                         DEDUP_DECIMALS)
+        # the images permute the points iff their sorted keys are the points'
+        at = np.lexsort(image.T)
+        if not np.array_equal(image[at], keys[order]):
+            continue
+        g = np.empty(V, dtype=np.int64)
+        g[at] = order
+        if not (np.array_equal(g[g], group[0])
                 and np.array_equal(gen.weights[g], gen.weights)
                 and (L[g][:, g] != L).nnz == 0):
             continue
@@ -293,7 +310,54 @@ def _reflection_group(gen: GeneratorMatrix) -> np.ndarray:
         if (all(np.array_equal(g[h], h[g]) for h in gens)
                 and not any(np.array_equal(g, h) for h in group)):
             group = np.concatenate([group, g[group]])
-    return group
+        else:
+            others.append(g)
+    members = {h.tobytes() for h in group}
+    flip = next((g for g in others if g.tobytes() not in members
+                 and all(g[h[g]].tobytes() in members for h in group)), None)
+    return group, flip
+
+
+def _flip_partners(group: np.ndarray, flip: np.ndarray) -> list[int]:
+    """The character c' whose block P_D maps block c onto, for every c: the
+    orbit sum of r for chi_c goes to +-the orbit sum of D r for
+    chi_c'(g) = chi_c(D g D), found by integer sign arithmetic."""
+    G = len(group)
+    index = {g.tobytes(): e for e, g in enumerate(group)}
+    conj = np.array([index[flip[g[flip]].tobytes()] for g in group])   # D g_e D = g_conj[e]
+    chi = np.array([[bin(e & c).count("1") & 1 for e in range(G)] for c in range(G)])
+    rows = {row.tobytes(): c for c, row in enumerate(chi)}              # chi_c = (-1)^row
+    return [rows[row[conj].tobytes()] for row in chi]
+
+
+def _flip_halves(O, reps: np.ndarray, group: np.ndarray, flip: np.ndarray,
+                 chi: np.ndarray):
+    """Sparse bases of the +1 and -1 eigenspaces of P_D on the span of O, the
+    orbit sums of the character chi (its +-1 values on the group) for the
+    orbit minima reps, a block D maps onto itself.  P_D takes column i to
+    sign_i times column j_i (j_j = i), so the halves hold the columns e_i
+    with sign_i = +-1 where j_i = i, and (e_i +- sign_i e_j) / sqrt 2 for the
+    pairs i < j, mapped through O."""
+    from scipy.sparse import csr_array
+
+    moved = flip[reps]
+    home = group.min(axis=0)[moved]                     # orbit minimum of D r
+    h = np.argmax(group[:, home] == moved, axis=0)      # g_h(home) = D r
+    sign = chi[h]
+    j = np.searchsorted(reps, home)
+    i = np.arange(len(reps))
+    halves = []
+    for s in (1, -1):
+        cols = np.flatnonzero(((j == i) & (sign == s)) | (i < j))
+        pair = j[cols] > cols
+        E = csr_array((np.r_[np.where(pair, np.sqrt(0.5), 1.0),
+                             s * sign[cols[pair]] * np.sqrt(0.5)],
+                       (np.r_[cols, j[cols[pair]]],
+                        np.r_[np.arange(len(cols)), np.flatnonzero(pair)])),
+                      shape=(len(reps), len(cols)))
+        halves.append((O @ E).tocsr())
+    return halves
+
 
 
 class HeatKernel:
@@ -307,15 +371,26 @@ class HeatKernel:
     orbit sums u_r = n_r^{-1/2} sum_{x in O(r)} chi(x) e_x, one per orbit
     representative r whose stabilizer chi is trivial on.  S maps their span
     into itself, so the block is O_chi^T S O_chi and its eigenvectors U_chi
-    give the columns O_chi U_chi of U.  The eigenvalues come block after
-    block, ascending within a block.  With the trivial group O is the
-    identity and the one block is S itself.
+    give the columns O_chi U_chi of U.
 
-    The kernel keeps O (the O_chi side by side, sparse), the dense blocks
-    U_chi and the eigenvalues, and no (V, V) array.  Every operator goes
-    through two transforms, each one sparse product with O pre-scaled by
-    M^{+-1/2} and one GEMM per block: into modes, B^T M x = U_chi^T
-    (O_chi^T M^{1/2} x), and out of modes, B a = M^{-1/2} O_chi (U_chi a_chi).
+    The extra reflection D of _reflection_group commutes with S and maps u_r
+    to +-u_r' for the orbit sum of D r under the character chi'(g) =
+    chi(D g D); orbits and signs come from the permutations, in integers.
+    If chi' != chi, only the first of the two blocks is factored: the second
+    one's basis is P_D O_chi, with the same U_chi and eigenvalues.  If
+    chi' = chi, the block splits into the +1 and -1 eigenspaces of D, with
+    the sparse bases u_i and (u_i +- s u_j) / sqrt 2 (_flip_halves), each
+    factored on its own.  On 2D Vicsek level 4 that gives six blocks,
+    (255, 214, 469, 469, 255, 214), from five eigh calls.  The eigenvalues
+    come block after block, ascending within a block.  With the trivial
+    group O is the identity and the one block is S itself.
+
+    The kernel keeps O (the block bases side by side, sparse), the dense
+    blocks U (a partner's is the same array) and the eigenvalues, and no
+    (V, V) array.  Every operator goes through two transforms, each one
+    sparse product with O pre-scaled by M^{+-1/2} and one GEMM per block: into
+    modes, B^T M x = U_k^T (O_k^T M^{1/2} x), and out of modes,
+    B a = M^{-1/2} O_k (U_k a_k).
     """
 
     def __init__(self, gen: GeneratorMatrix):
@@ -330,26 +405,42 @@ class HeatKernel:
         half = 0.5 * ((self._sqrt_m[L.row] * L.data) / self._sqrt_m[L.col])
         S = csr_array((np.r_[half, half], (np.r_[L.row, L.col], np.r_[L.col, L.row])),
                       shape=(V, V))
-        perms = _reflection_group(gen)
+        perms, flip = _reflection_group(gen)
         G = len(perms)
         reps = np.flatnonzero(perms.min(axis=0) == np.arange(V))   # orbit minima
         images = (perms[:, reps].ravel(), np.tile(np.arange(len(reps)), G))
-        bases = []
+        partner = range(G) if flip is None else _flip_partners(perms, flip)
+        # bases[k] spans block k, and its U is that of todo[owner[k]]
+        bases, owner, todo, first = [], [], [], {}
         for c in range(G):
             chi = np.array([(-1.0) ** bin(e & c).count("1") for e in range(G)])
             # column r sums chi(e) e_{e(r)} over G: the orbit sum of r times
             # its stabilizer's order, or zero if chi is not trivial there
             O = csc_array((np.repeat(chi, len(reps)), images), shape=(V, len(reps)))
             norm = np.sqrt(np.ravel(O.multiply(O).sum(axis=0)))
-            bases.append(O[:, norm > 0].multiply(1.0 / norm[norm > 0]).tocsr())
+            O = O[:, norm > 0].multiply(1.0 / norm[norm > 0]).tocsr()
+            if partner[c] < c:
+                # P_D maps block partner[c] onto this one: S is the same
+                # there in the basis P_D O, so it shares that block's U
+                k = first[partner[c]]
+                bases.append(bases[k][flip])
+                owner.append(owner[k])
+                continue
+            first[c] = len(bases)
+            halves = ([O] if flip is None or partner[c] > c
+                      else _flip_halves(O, reps[norm > 0], perms, flip, chi))
+            for half in halves:
+                owner.append(len(todo))
+                todo.append(half)
+                bases.append(half)
         self._block_sizes = tuple(O.shape[1] for O in bases)
-        entries = sum(n * n for n in self._block_sizes)
+        entries = sum(O.shape[1] ** 2 for O in todo)
         if entries > BLOCK_ENTRY_LIMIT:
             raise KernelSizeError(
                 f"V = {V} vertices in symmetry blocks {self._block_sizes} need "
                 f"{entries} block entries; the kernel budget is {BLOCK_ENTRY_LIMIT}")
-        self._blocks, lams = [], []
-        for O in bases:
+        Us, lams = [], []
+        for O in todo:
             Sb = (O.T @ S @ O).toarray()
             # the two triangles of Sb are summed in different orders, equal
             # only to rounding; symmetrized in place, as eigh copies its input
@@ -362,9 +453,10 @@ class HeatKernel:
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise KernelError(f"eigendecomposition failed: {exc}") from exc
             del Sb                        # freed before the next block is formed
-            self._blocks.append(Ub)
+            Us.append(Ub)
             lams.append(lam)
-        self.eigenvalues = np.concatenate(lams)
+        self._blocks = [Us[k] for k in owner]
+        self.eigenvalues = np.concatenate([lams[k] for k in owner])
         ends = np.cumsum(self._block_sizes)
         self._spans = [slice(e - n, e) for e, n in zip(ends, self._block_sizes)]
         self._orbits = hstack(bases, format="csc")        # O, columns by block

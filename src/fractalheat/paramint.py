@@ -15,7 +15,8 @@ graded dyadically toward s = t, whose dropped head below t * 2^-50
 is bounded by its length times the density ceiling 1/min(m).
 
 eta is approximated by S^(n)(z) = sum_cells h(z, anchor) mass(cell); anchors
-deeper than the kernel level are snapped to the nearest vertex, and a cell
+deeper than the kernel level are snapped to the nearest vertex, a corner of
+their level-L cell (at ties, the corner of lower essential index), and a cell
 whose anchor snaps to a vertex removed by a Dirichlet boundary adds nothing.
 EtaEvaluation records all depths 0..n_max, so the per-level sup increments
 diagnose the convergence rate; its eta.csv holds the final depth alone.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _text
-from .geometry import FractalModel, cell_anchors
+from .geometry import DEDUP_DECIMALS, FractalModel, GeometryError, cell_anchors
 from .kernel import HeatKernel
 from .measure import MeasureRealization
 
@@ -154,7 +155,6 @@ class HFunction:
             raise ParamIntegralError(
                 f"sigma exponent {sigma.holder_exp} fails the d_f/2 = "
                 f"{model.d_f / 2:.4f} smoothness gate")
-        self._snap_tree = None
         self._anchor_cache: dict = {}
 
     @property
@@ -170,21 +170,41 @@ class HFunction:
             raise ParamIntegralError(f"t={t} outside kernel coverage (0, {self.T}]")
 
     def snap_ids(self, depth: int, anchor_rule: int = 0) -> np.ndarray:
-        """Kernel-vertex ids nearest to each depth-n cell anchor (exact when
-        depth <= kernel level: the anchor is itself a vertex).
+        """Kernel-vertex id nearest to each depth-n cell anchor, by word rank.
+
+        The anchor of cell w is psi_w(p), p the essential fixed point of the
+        rule, whose map psi_j fixes it.  At depth n <= L, the kernel level, it
+        is a vertex: the corner of the rule of the level-L cell w j^(L - n).
+        Deeper, w = u v with u of length L, and the maps are similitudes, so
+        the nearest vertex is the corner of u nearest to psi_v(p) among the
+        essential fixed points: one table over the words v serves every u.
+        At exact ties (the edge midpoints of the gasket) the corner of lower
+        essential index wins.  The tie rule matters: against another choice
+        of the tied corner, gasket eta at depths beyond the level moves by up
+        to 25% of its maximum (L3-L5, blow-ups 0-1, seed 1), so it is fixed
+        here rather than left to a nearest-point search.
 
         Anchors snap against the full vertex set; one whose nearest vertex
         was removed by a Dirichlet boundary gets id -1, since the killed
         kernel is zero there."""
         key = (depth, anchor_rule)
         if key not in self._anchor_cache:
-            from scipy.spatial import cKDTree
-            gen = self.kernel.gen
-            if self._snap_tree is None:
-                self._snap_tree = cKDTree(gen.vs.points)
-            anchors = cell_anchors(self.model, depth, gen.vs.blowup, anchor_rule)
-            _, full_ids = self._snap_tree.query(anchors)
-            self._anchor_cache[key] = gen.positions()[full_ids]
+            model, vs = self.model, self.kernel.gen.vs
+            if not 0 <= anchor_rule < len(model.essential_indices):
+                raise GeometryError(
+                    f"anchor rule {anchor_rule} outside the essential fixed point set")
+            N, L = model.N, vs.level
+            if depth <= L:
+                j, k = model.essential_indices[anchor_rule], L - depth
+                tail = j * (N ** k - 1) // (N - 1)          # rank of the word j^k
+                ids = vs.cell_vertex_ids[np.arange(N ** depth) * N ** k + tail, anchor_rule]
+            else:
+                pts = cell_anchors(model, depth - L, 0, anchor_rule)
+                d2 = ((pts[:, None] - model.essential_fixed_points[None]) ** 2).sum(axis=-1)
+                # rounded as vertex_set rounds, so a tie goes to the first corner
+                corner = np.argmin(np.round(d2, DEDUP_DECIMALS), axis=1)
+                ids = vs.cell_vertex_ids[:, corner].ravel()
+            self._anchor_cache[key] = self.kernel.gen.positions()[ids]
         return self._anchor_cache[key]
 
 

@@ -66,6 +66,28 @@ def test_cli_import_loads_no_heavy_scipy_module():
     assert proc.stdout.split() == []
 
 
+RUN_CHECK = """
+import sys, tempfile
+from fractalheat import cli
+with tempfile.TemporaryDirectory() as out:
+    for argv in (["eta", "--times", "0.5"], ["solve"]):
+        code = cli.main(argv + ["--level", "2", "--depth", "3", "--out", f"{out}/{argv[0]}"])
+        assert code == 0, argv
+print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_eta_and_solve_load_no_spatial_index():
+    # the kernel matches reflected vertices by their rounded coordinates and
+    # the noise cells snap through the cell table, so neither command pays
+    # for importing scipy.spatial (34-55 ms after scipy.sparse, 2 vCPUs)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", RUN_CHECK], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
+
+
 def _dotted(node):
     """'a.b.c' for a Name or an Attribute chain on a Name, else None."""
     parts = []

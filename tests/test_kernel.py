@@ -80,8 +80,12 @@ class TestGenerator:
         vs = vs_cache("vicsek", 1)
         for boundary in ("reflecting", "dirichlet"):
             gen = build_generator(vs, boundary=boundary)
-            sizes = HeatKernel(gen).block_sizes
-            entries = sum(n * n for n in sizes)
+            kern = HeatKernel(gen)
+            sizes = kern.block_sizes
+            # a block and its partner under the diagonal share one U, which
+            # the budget counts once
+            entries = sum(U.size for U in {id(U): U for U in kern._blocks}.values())
+            assert entries < sum(n * n for n in sizes)
             monkeypatch.setattr(K, "BLOCK_ENTRY_LIMIT", entries)
             assert HeatKernel(gen).block_sizes == sizes
             monkeypatch.setattr(K, "BLOCK_ENTRY_LIMIT", entries - 1)
@@ -579,7 +583,7 @@ def _one_block_kernel(gen, monkeypatch):
     plain eigh of S (test_trivial_group_is_plain_eigh)."""
     with monkeypatch.context() as m:
         m.setattr(K, "_reflection_group",
-                  lambda gen: np.arange(len(gen.weights))[None, :])
+                  lambda gen: (np.arange(len(gen.weights))[None, :], None))
         return HeatKernel(gen)
 
 
@@ -607,21 +611,31 @@ def _case_kernel(kernel_cache, name, level, blowup, boundary):
 
 
 class TestSymmetryBlocks:
-    @pytest.mark.parametrize("name,level,blowup,n_blocks", _BLOCK_CASES)
+    @pytest.mark.parametrize("name,level,blowup,order", _BLOCK_CASES)
     @pytest.mark.parametrize("boundary", ["reflecting", "dirichlet"])
-    def test_blocks_factor_s(self, kernel_cache, name, level, blowup, n_blocks,
-                             boundary):
+    def test_blocks_factor_s(self, kernel_cache, name, level, blowup, order, boundary):
         kern = _case_kernel(kernel_cache, name, level, blowup, boundary)
         S, lam, _ = _plain_eigh(kern.gen)
         V = kern.n_vertices
-        # block c spans the range of the projector (1/|G|) sum_e chi_c(e) e,
-        # so its size is the trace: chi_c against the fixed-point counts
-        perms = K._reflection_group(kern.gen)
-        assert len(perms) == n_blocks
-        chi = (-1) ** np.array([[bin(e & c).count("1") for e in range(n_blocks)]
-                                for c in range(n_blocks)])
+        # character c's span is the range of the projector
+        # P_c = (1/|G|) sum_e chi_c(e) g_e, so its size is the trace: chi_c
+        # against the fixed-point counts.  A span the extra reflection D maps
+        # onto itself splits into the +1 and -1 halves of D, of sizes
+        # (n_c +- trace(D P_c)) / 2; one D maps onto another span stays whole
+        perms, flip = K._reflection_group(kern.gen)
+        assert len(perms) == order and (flip is None) == (name == "gasket")
+        chi = (-1) ** np.array([[bin(e & c).count("1") for e in range(order)]
+                                for c in range(order)])
         fixed = (perms == np.arange(V)).sum(axis=1)
-        assert kern.block_sizes == tuple(chi @ fixed // n_blocks)
+        sizes = [[n] for n in chi @ fixed // order]
+        if flip is not None:
+            conj = [next(k for k, h in enumerate(perms) if np.array_equal(flip[g[flip]], h))
+                    for g in perms]                       # D g_e D = g_conj[e]
+            trace = chi @ (flip[perms] == np.arange(V)).sum(axis=1) // order
+            for c, (n,) in enumerate(list(sizes)):
+                if np.array_equal(chi[c, conj], chi[c]):
+                    sizes[c] = [(n + trace[c]) // 2, (n - trace[c]) // 2]
+        assert kern.block_sizes == tuple(n for block in sizes for n in block)
         assert sum(kern.block_sizes) == V
         assert (np.abs(np.sort(kern.eigenvalues) - lam).max()
                 <= 1e-12 * np.abs(lam).max())
@@ -631,10 +645,10 @@ class TestSymmetryBlocks:
                 <= V * eps * np.linalg.norm(S))
         assert np.abs(U.T @ U - np.eye(V)).max() <= V * eps
 
-    @pytest.mark.parametrize("name,level,blowup,n_blocks", _BLOCK_CASES)
+    @pytest.mark.parametrize("name,level,blowup,order", _BLOCK_CASES)
     @pytest.mark.parametrize("boundary", ["reflecting", "dirichlet"])
     def test_operators_match_one_block(self, kernel_cache, monkeypatch, name,
-                                       level, blowup, n_blocks, boundary):
+                                       level, blowup, order, boundary):
         kern = _case_kernel(kernel_cache, name, level, blowup, boundary)
         ref = _one_block_kernel(kern.gen, monkeypatch)
         V = kern.n_vertices
@@ -714,12 +728,13 @@ class TestSymmetryBlocks:
         lines = np.isclose(x, 0.5) | np.isclose(y, 0.5) | np.isclose(x, 1.0 - y)
         main = int(np.flatnonzero(np.isclose(x, y) & ~lines)[0])
         generic = int(np.flatnonzero(~lines & ~np.isclose(x, y))[0])
-        assert len(K._reflection_group(gen)) == 4
+        assert len(K._reflection_group(gen)[0]) == 4
         for changed, n_blocks in ((main, 2), (generic, 1)):
             weights = gen.weights.copy()
             weights[changed] *= 1.0 + 1e-15
             broken = dataclasses.replace(gen, weights=weights)
-            group = K._reflection_group(broken)
+            group, flip = K._reflection_group(broken)
+            assert flip is None
             assert len(group) == n_blocks
             assert (group[:, changed] == changed).all()
             kern = HeatKernel(broken)
@@ -729,8 +744,56 @@ class TestSymmetryBlocks:
         matrix = gen.matrix.copy()
         matrix[main, matrix[main] > 0] *= 1.0 + 1e-15
         broken = dataclasses.replace(gen, L=scipy.sparse.csr_array(matrix))
-        group = K._reflection_group(broken)
-        assert len(group) == 2 and (group[:, main] == main).all()
+        group, flip = K._reflection_group(broken)
+        assert len(group) == 2 and (group[:, main] == main).all() and flip is None
+
+    def test_broken_diagonals_leave_four_blocks(self, generator_cache):
+        # a weight changed alike on one orbit of Rx and Ry, whose diagonal
+        # images lie outside it, keeps Z2 x Z2 but breaks both diagonal
+        # reflections: no D, and the four character blocks of the group
+        gen = generator_cache("vicsek", 2)
+        x, y = gen.points.T
+        lines = (np.isclose(x, 0.5) | np.isclose(y, 0.5) | np.isclose(x, y)
+                 | np.isclose(x, 1.0 - y))
+        group, flip = K._reflection_group(gen)
+        orbit = group[:, np.flatnonzero(~lines)[0]]
+        assert flip is not None and not np.isin(flip[orbit], orbit).any()
+        weights = gen.weights.copy()
+        weights[orbit] *= 1.0 + 1e-15
+        broken = dataclasses.replace(gen, weights=weights)
+        kept, flip = K._reflection_group(broken)
+        assert np.array_equal(kept, group) and flip is None
+        chi = (-1) ** np.array([[bin(e & c).count("1") for e in range(4)] for c in range(4)])
+        fixed = (group == np.arange(len(weights))).sum(axis=1)
+        assert HeatKernel(broken).block_sizes == tuple(chi @ fixed // 4)
+
+    @pytest.mark.parametrize("name,level", [("vicsek", 3), ("vicsek3d", 2)])
+    def test_paired_blocks_share_one_factor(self, kernel_cache, name, level):
+        # D maps the span of one character onto another's, so the second
+        # block is the first reflected: one U, equal eigenvalues, and its
+        # columns of B are the first's with the rows permuted by D
+        kern = _case_kernel(kernel_cache, name, level, 0, "reflecting")
+        _, flip = K._reflection_group(kern.gen)
+        first = {}
+        pairs = []
+        for U, span in zip(kern._blocks, kern._spans):
+            if id(U) in first:
+                pairs.append((first[id(U)], span))
+            first.setdefault(id(U), span)
+        assert len(pairs) == {"vicsek": 1, "vicsek3d": 2}[name]
+        assert len(first) == len(kern._blocks) - len(pairs)
+        B = kern.B
+        for a, b in pairs:
+            assert np.array_equal(kern.eigenvalues[a], kern.eigenvalues[b])
+            assert np.array_equal(B[:, b], B[flip][:, a])
+
+    def test_gasket_keeps_two_blocks(self, kernel_cache):
+        # in D3 no reflection normalizes the Z2 of another, so there is no
+        # D and the gasket is factored as before: one block per character
+        kern = kernel_cache("gasket", 5)
+        group, flip = K._reflection_group(kern.gen)
+        assert len(group) == 2 and flip is None
+        assert len(kern.block_sizes) == 2
 
     def test_block_sizes_read_only(self, kernel_cache):
         kern = kernel_cache("gasket", 3)
@@ -794,8 +857,9 @@ class TestSpectralSeam:
         assert reads == {}
 
     def test_kernel_holds_no_square_array(self, kernel_cache):
-        # the blocks hold sum n_c^2 = V^2 / 4 entries on Vicsek; nothing the
-        # kernel keeps, after every operator has run, is V x V
+        # the five distinct blocks of six hold about V^2 / 8 entries on
+        # Vicsek; nothing the kernel keeps, after every operator has run, is
+        # V x V
         kern = kernel_cache("vicsek", 3)
         V = kern.n_vertices
         grid = np.linspace(0.0, 0.2, 5)
@@ -821,7 +885,9 @@ class TestSpectralSeam:
                 todo.extend(obj.values())
             elif hasattr(obj, "__dict__"):
                 todo.extend(vars(obj).values())
-        assert len(kern._blocks) == 4 and sum(b.size for b in kern._blocks) < V * V / 3
+        distinct = {id(U): U for U in kern._blocks}.values()
+        assert len(kern._blocks) == 6 and len(distinct) == 5
+        assert sum(U.size for U in distinct) < V * V / 7
         assert max(sizes) < V * V
 
 

@@ -355,6 +355,26 @@ class TestAnchorRules:
             _, ref = tree.query(cell_anchors(vicsek, depth, 0, rule))
             assert np.array_equal(hf3.snap_ids(depth, rule), ref)
 
+    @pytest.mark.parametrize("rule,corners", [(0, [0, 0, 0]), (1, [0, 1, 1]),
+                                              (2, [0, 1, 2])])
+    def test_gasket_ties_go_to_lower_essential_index(self, kernel_cache, gasket,
+                                                     rule, corners):
+        # below the kernel level a gasket anchor psi_v(p) with v != the rule's
+        # symbol is an edge midpoint of the level-L cell, equally near two of
+        # its corners; the snap takes the corner of lower essential index
+        kern = kernel_cache("gasket", 1)
+        hf = HFunction(kern, sigma_preset("smooth", gasket), T=1.0, strict=False)
+        cells = kern.gen.vs.cell_vertex_ids
+        ids = hf.snap_ids(2, rule)
+        assert np.array_equal(ids, cells[:, corners].ravel())
+        anchors = cell_anchors(gasket, 2, 0, rule)
+        dist = np.linalg.norm(anchors[:, None] - hf.points[cells].repeat(3, axis=0),
+                              axis=-1)                       # (cells, corners)
+        nearest = np.isclose(dist, dist.min(axis=1, keepdims=True), rtol=1e-12)
+        assert (nearest.sum(axis=1) == np.tile([1 if c == rule else 2 for c in range(3)],
+                                                3)).all()
+        assert np.array_equal(nearest.argmax(axis=1), np.tile(corners, 3))
+
     def test_dirichlet_killed_anchors_dropped(self, kernel_cache, vicsek):
         # the rule-0 anchor of the root cell is the killed corner (0, 0), so
         # S^(0) carries no mass at all
