@@ -352,24 +352,18 @@ def check_assumption1(model: FractalModel, m: int, samples: int = 200,
 
     Vertex pairs of F^(m) are checked exhaustively; `samples` additional random
     interior points (depth-12 word images) probe non-vertex pairs.  Raises if
-    any admissible pair has no chain.  Hop counts come from one all-pairs
-    (V, V) matrix of F^(m).
+    any admissible pair has no chain.  Hop counts come from one BFS per
+    vertex they are read from: the first vertex of each close pair and the
+    corners of the sampled cells.
     """
     from scipy.sparse.csgraph import shortest_path
     from scipy.spatial import cKDTree
 
     vs = vertex_set(model, m, 0)
     r = model.alpha ** (-m) * (1 + 1e-9)
-    # hop counts between all vertex pairs (inf when unreachable)
-    hops = shortest_path(vs._adjacency(), directed=False, unweighted=True)
-    max_l = 1
-    # exhaustive over vertex pairs
     close = cKDTree(vs.points).query_pairs(r, output_type="ndarray")
-    if len(close):
-        d = hops[close[:, 0], close[:, 1]]
-        if not np.all(np.isfinite(d)):
-            raise GeometryError("no chain between admissible vertices")
-        max_l = max(max_l, int(d.max()) + 1)
+    cells = np.empty((0, 2), dtype=np.int64)
+    max_l = 1
     # sampled interior pairs: x, y generic points of E with their depth-m cells
     if samples > 0:
         rng = np.random.default_rng(seed)
@@ -382,17 +376,29 @@ def check_assumption1(model: FractalModel, m: int, samples: int = 200,
         for i, wd in enumerate(words):
             sample_pts[i] = apply_word(model, CellAddress(tuple(wd)), anchor)
             sample_cell[i] = 0 if m == 0 else int(np.dot(wd[:m] - 1, powers))
-        tree = cKDTree(sample_pts)
-        for i, j in tree.query_pairs(r):
-            ci, cj = sample_cell[i], sample_cell[j]
-            if ci == cj:
-                max_l = max(max_l, 2)
-                continue
-            best = hops[np.ix_(vs.cell_vertex_ids[ci], vs.cell_vertex_ids[cj])].min()
-            if not np.isfinite(best):
-                raise GeometryError("no chain between sampled interior points")
-            # path: x, (dv+1) vertices of F^(m), y
-            max_l = max(max_l, int(best) + 3)
+        cells = sample_cell[cKDTree(sample_pts).query_pairs(r, output_type="ndarray")]
+        if np.any(cells[:, 0] == cells[:, 1]):
+            max_l = 2
+        cells = cells[cells[:, 0] != cells[:, 1]]
+    corners = vs.cell_vertex_ids[cells]                  # (pairs, 2, corners)
+    sources = np.unique(np.concatenate([close[:, 0], corners[:, 0].ravel()]))
+    if len(sources) == 0:
+        return max_l
+    # hop counts from each source (inf when unreachable), row by source rank
+    hops = shortest_path(vs._adjacency(), directed=False, unweighted=True,
+                         indices=sources)
+    if len(close):
+        d = hops[np.searchsorted(sources, close[:, 0]), close[:, 1]]
+        if not np.all(np.isfinite(d)):
+            raise GeometryError("no chain between admissible vertices")
+        max_l = max(max_l, int(d.max()) + 1)
+    if len(corners):
+        rows = np.searchsorted(sources, corners[:, 0])
+        best = hops[rows[:, :, None], corners[:, 1, None, :]].min(axis=(1, 2))
+        if not np.all(np.isfinite(best)):
+            raise GeometryError("no chain between sampled interior points")
+        # path: x, (dv+1) vertices of F^(m), y
+        max_l = max(max_l, int(best.max()) + 3)
     return max_l
 
 

@@ -40,6 +40,7 @@ c2 t^{-d_s/2} exp(-c3 (|x-y|^{d_w}/t)^{1/(d_J - 1)}).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -185,10 +186,14 @@ def build_generator(vs: VertexSet, boundary: str = "reflecting") -> GeneratorMat
     return GeneratorMatrix(vs, L, rate, boundary, kept, m, gap)
 
 
+@functools.cache
 def duhamel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per order
+    and returned as the same read-only arrays on every call."""
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    theta, weights = 0.5 * (x + 1.0), 0.5 * w
+    theta.flags.writeable = weights.flags.writeable = False
+    return theta, weights
 
 
 def duhamel_weights(z, order: int) -> np.ndarray:
@@ -581,8 +586,9 @@ class HeatKernel:
         return float(np.max(np.abs(Ps @ Pt - Pst)))
 
     def _duhamel_steps(self, times):
-        """The (S, P) Gauss nodes of a sorted grid's S steps, and per step
-        exp(lam h) and the (V, P) weights h W(lam h), cached per step length."""
+        """The (S, P) Gauss nodes of a sorted grid's S steps, and the rules
+        (exp(lam h), h W(lam h)) of its distinct step lengths h, cached per
+        length, with the index of each step's rule."""
         times = np.asarray(times, dtype=float)
         if len(times) < 2 or np.any(np.diff(times) <= 0):
             raise KernelError("Duhamel time grid must be strictly increasing, "
@@ -590,8 +596,9 @@ class HeatKernel:
         order = DUHAMEL_ORDER
         theta, _ = duhamel_rule(order)
         h = np.diff(times)
-        steps = []
-        for hk in h:
+        lengths, which = np.unique(h, return_inverse=True)
+        rules = []
+        for hk in lengths:
             key = (hk, order)
             if key not in self._duhamel_cache:
                 if len(self._duhamel_cache) >= DUHAMEL_CACHE:
@@ -599,8 +606,8 @@ class HeatKernel:
                 z = self.eigenvalues * hk
                 with np.errstate(under="ignore"):
                     self._duhamel_cache[key] = (np.exp(z), hk * duhamel_weights(z, order))
-            steps.append(self._duhamel_cache[key])
-        return times[:-1, None] + h[:, None] * theta, steps
+            rules.append(self._duhamel_cache[key])
+        return times[:-1, None] + h[:, None] * theta, (rules, which)
 
     def duhamel(self, times, source, ids=None, fields=None, at=None) -> np.ndarray:
         """int_{t_0}^{t_i} P(t_i - s) g(s) ds at the times t_i of a sorted grid.
@@ -611,8 +618,13 @@ class HeatKernel:
         into modes; each step then advances
         acc <- exp(lam h) acc + sum_j W_j(lam h) ghat_j, exact in the
         eigenvalues, and one call out of modes moves every kept grid time
-        back, as (V, K C) columns.  Per-node form (fields None): source
-        returns g itself, (S P, V) or (S P, V, C), and ghat_j = B^T (m g(s_j)).
+        back, as (V, K C) columns.  The sum over j is one contraction per
+        step length h, over all the steps of that length (one on a uniform
+        grid, a few on a grid whose steps differ in the last ulp), so the
+        step loop only recurs.  Per-node form (fields None): source returns
+        g itself, (S P, V) or (S P, V, C), in either memory order, and
+        ghat_j = B^T (m g(s_j)); column-major (S P, V) samples are already
+        the transform's layout and are not copied.
 
         Separable form: g(s, y, c) = source(s)[y] fields[y, c], with source
         returning (S P, V) values and fields a fixed (V, C) block.  The
@@ -620,16 +632,17 @@ class HeatKernel:
         rows, cut at the rounding level max(S P, V) eps max_i |row_i|), so a
         source of rank R in (s, y) moves only the R C columns Q_r * fields
         into modes, as ghat (V, R, C).  The steps advance the (V, R)
-        coefficients, acc <- exp(lam h) acc + W coef_step, and only the kept
-        times are expanded, by acc ghat per mode; the result matches the
-        per-node form to rounding.
+        coefficients, acc <- exp(lam h) acc + W coef_step (again one batched
+        product per step length), and only the kept times are expanded, by
+        acc ghat per mode; the result matches the per-node form to rounding.
 
         The result holds rows ids (default all; one index drops the axis) at
         the grid indices at (default every grid time), shape (K, X) for an
         (S P, V) per-node source, else (K, X, C); it is zero at t_0.
         """
-        nodes, steps = self._duhamel_steps(times)
-        P, V = nodes.shape[1], self.n_vertices
+        nodes, (rules, which) = self._duhamel_steps(times)
+        S, P = nodes.shape
+        V = self.n_vertices
         g = np.asarray(source(nodes.ravel()), dtype=float)
         squeeze = fields is None and g.ndim == 2
         if fields is None:
@@ -639,17 +652,31 @@ class HeatKernel:
             coef, Q = _factor_rows(g)
             cols = Q.T[:, :, None] * np.asarray(fields, dtype=float)[:, None, :]
         # C order: a sparse product with a column-major operand runs several
-        # times slower
+        # times slower.  Column-major (S P, V) samples are C order here
         ghat = self._to_modes(np.ascontiguousarray(cols.reshape(V, -1))).reshape(cols.shape)
         del g, Q, cols                    # the samples are in modes
-        accs = [np.zeros((V, ghat.shape[2] if coef is None else coef.shape[1]))]
-        for i, (E, W) in enumerate(steps):
-            span = slice(i * P, (i + 1) * P)
-            added = (np.einsum("kr,krc->kc", W, ghat[:, span]) if coef is None
-                     else W @ coef[span])
-            accs.append(E[:, None] * accs[-1] + added)
-        keep = range(len(accs)) if at is None else np.asarray(at)
-        kept = np.stack([accs[i] for i in keep], axis=1)                # (V, K, R or C)
+        if coef is None:
+            parts = ghat.reshape(V, S, P, -1)
+
+            def contract(W, run):         # sum_j W_j ghat_j, (n, V, C)
+                return np.einsum("kr,ksrc->skc", W, parts[:, run])
+        else:
+            parts = coef.reshape(S, P, -1)
+
+            def contract(W, run):         # W coef_step, (n, V, R)
+                return W @ parts[run]
+        # accs[i + 1] takes step i's added term, from one contraction per step
+        # length over all the steps of that length, then the recurrence
+        accs = np.zeros((S + 1, V, parts.shape[-1]))
+        for j, (_, W) in enumerate(rules):
+            run = np.flatnonzero(which == j)
+            if run[-1] - run[0] == len(run) - 1:
+                run = slice(run[0], run[-1] + 1)     # a view, not a gather
+            accs[1:][run] = contract(W, run)
+        for i, j in enumerate(which):
+            accs[i + 1] = rules[j][0][:, None] * accs[i] + accs[i + 1]
+        kept = np.ascontiguousarray(np.moveaxis(accs if at is None else accs[np.asarray(at)],
+                                                0, 1))                  # (V, K, R or C)
         if coef is not None:
             kept = np.einsum("kjr,krc->kjc", kept, ghat)                # (V, K, C)
         del ghat

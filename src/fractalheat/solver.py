@@ -81,7 +81,10 @@ class AssumptionGateError(SolverError):
 @dataclass(frozen=True)
 class Nonlinearity:
     """f(s, y, r): bounded by c_bound, Lipschitz in (y, r) with constant lipschitz.
-    fn returns a fresh array on every call: the Duhamel rule overwrites it."""
+    fn returns a fresh array on every call: the Duhamel rule overwrites it.
+    r may be a column-major (S, K) view (the sweep's node values are held
+    vertex-major); a ufunc of r then returns column-major values, which the
+    Duhamel rule moves into modes without a copy."""
 
     fn: object               # ((S,) s, (K,d) pts, (S,K) r[i, k] = u(s_i, y_k)) -> (S,K)
     c_bound: float
@@ -290,24 +293,39 @@ def _stoch_field(prob: PreparedProblem) -> np.ndarray:
     return out
 
 
-def _interp_rows(times: np.ndarray, field: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Linear-in-time interpolation of a (K, V) field at query times s."""
-    idx = np.clip(np.searchsorted(times, s, side="right") - 1, 0, len(times) - 2)
-    w = (s - times[idx]) / (times[idx + 1] - times[idx])
-    return (1 - w[:, None]) * field[idx] + w[:, None] * field[idx + 1]
-
-
 def _nl_field(prob: PreparedProblem, u: np.ndarray, times=None, ids=None) -> np.ndarray:
     """Nonlinear term int_0^t P(t - s) f(s, ., u(s, .)) ds for the iterate u
     (rows on the solve grid), at the given grid times (default the solve
     grid) and vertex rows ids (default all).  f is called once per sweep,
-    with every Gauss node of the grid and u interpolated there."""
-    f, pts = prob.spec.f, prob.points
+    with every Gauss node of the grid and u interpolated there, linearly in
+    time between solve-grid rows.
+
+    Every step of the given grid must lie inside one interval of the solve
+    grid (the solve grid itself, or one cut at or just past a grid time);
+    SolverError otherwise.  The node values are built as a C-order (V, S, P)
+    array, the layout the Duhamel rule moves into modes, and f gets its
+    (S P, V) transposed view."""
+    f, pts, grid = prob.spec.f, prob.points, prob.times
+    times = grid if times is None else np.asarray(times, dtype=float)
+    # the solve interval [grid[j], grid[j + 1]] holding each Duhamel step
+    j = np.clip(np.searchsorted(grid, times[:-1], side="right") - 1, 0, len(grid) - 2)
+    if times[0] < grid[0] or np.any(times[1:] > grid[j + 1]):
+        raise SolverError("every Duhamel step must lie inside one interval of the solve grid")
+    rows = np.ascontiguousarray(u.T)                    # (V, K)
+    lo, hi = rows[:, j], rows[:, j + 1]                 # (V, S)
 
     def source(nodes):
-        return f(nodes, pts, _interp_rows(prob.times, u, nodes))
+        s = nodes.reshape(len(j), -1)                   # (S, P)
+        w = (s - grid[j, None]) / (grid[j + 1] - grid[j])[:, None]
+        # (1 - w) lo + w hi as (V, S P), with every inner loop S P long
+        r = np.repeat(lo, s.shape[1], axis=1)
+        b = np.repeat(hi, s.shape[1], axis=1)
+        r *= (1 - w).ravel()
+        b *= w.ravel()
+        r += b
+        return f(nodes, pts, r.T)
 
-    return prob.kernel.duhamel(prob.times if times is None else times, source, ids)
+    return prob.kernel.duhamel(times, source, ids)
 
 
 def predicted_iterations(spec: ProblemSpec) -> int:

@@ -248,6 +248,40 @@ class TestAssumption1:
         # a model with one admissible pair x = y only: max chain length 1
         assert check_assumption1(vicsek, 0, samples=0) >= 1
 
+    @staticmethod
+    def _all_pairs_chain(model, m, samples=200, seed=0):
+        """check_assumption1 on the all-pairs (V, V) hop matrix, pair by pair."""
+        from scipy.sparse.csgraph import shortest_path
+        from scipy.spatial import cKDTree
+
+        vs = vertex_set(model, m, 0)
+        r = model.alpha ** (-m) * (1 + 1e-9)
+        hops = shortest_path(vs._adjacency(), directed=False, unweighted=True)
+        max_l = 1
+        for i, j in cKDTree(vs.points).query_pairs(r):
+            max_l = max(max_l, int(hops[i, j]) + 1)
+        rng = np.random.default_rng(seed)
+        words = rng.integers(1, model.N + 1, size=(samples, 12))
+        anchor = model.essential_fixed_points[0]
+        pts = np.array([apply_word(model, CellAddress(tuple(wd)), anchor) for wd in words])
+        cell = [sum((wd[k] - 1) * model.N ** (m - 1 - k) for k in range(m)) for wd in words]
+        for i, j in cKDTree(pts).query_pairs(r):
+            if cell[i] == cell[j]:
+                max_l = max(max_l, 2)
+                continue
+            ci, cj = vs.cell_vertex_ids[cell[i]], vs.cell_vertex_ids[cell[j]]
+            max_l = max(max_l, int(min(hops[a, b] for a in ci for b in cj)) + 3)
+        return max_l
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name,m", [("vicsek", 1), ("vicsek", 2), ("vicsek", 3),
+                                        ("gasket", 1), ("gasket", 2), ("gasket", 3),
+                                        ("gasket", 4)])
+    def test_bfs_from_read_vertices_matches_all_pairs(self, name, m, seed):
+        model = build_preset(name)
+        assert check_assumption1(model, m, seed=seed) == self._all_pairs_chain(model, m,
+                                                                               seed=seed)
+
 
 class TestCellHelpers:
     def test_cell_corners_shape(self, vicsek):

@@ -390,6 +390,32 @@ def _grid_nodes(grid):
     return np.concatenate([a + (b - a) * theta for a, b in zip(grid[:-1], grid[1:])])
 
 
+def _per_step_duhamel(kern, grid, source, fields=None):
+    """The Duhamel integral on every grid time, (K, V, C), with one
+    contraction per grid step: the rule's reference order of operations."""
+    nodes, (rules, which) = kern._duhamel_steps(grid)
+    P, V = nodes.shape[1], kern.n_vertices
+    g = np.asarray(source(nodes.ravel()), dtype=float)
+    if fields is None:
+        cols = np.moveaxis(g.reshape(len(g), V, -1), 0, 1)
+    else:
+        coef, Q = K._factor_rows(g)
+        cols = Q.T[:, :, None] * fields[:, None, :]
+    ghat = kern._to_modes(np.ascontiguousarray(cols.reshape(V, -1))).reshape(cols.shape)
+    accs = [np.zeros((V, ghat.shape[2] if fields is None else coef.shape[1]))]
+    for i, k in enumerate(which):
+        E, W = rules[k]
+        span = slice(i * P, (i + 1) * P)
+        added = (np.einsum("kr,krc->kc", W, ghat[:, span]) if fields is None
+                 else W @ coef[span])
+        accs.append(E[:, None] * accs[-1] + added)
+    kept = np.stack(accs, axis=1)
+    if fields is not None:
+        kept = np.einsum("kjr,krc->kjc", kept, ghat)
+    out = kern._from_modes(kept.reshape(V, -1))
+    return np.moveaxis(out.reshape(V, *kept.shape[1:]), 0, 1)
+
+
 class TestDuhamel:
     @pytest.mark.parametrize("z", [0.0, 1e-10, -1e-10, -1e-3, -1.0, -50.0, -1e4])
     @pytest.mark.parametrize("order", [K.DUHAMEL_ORDER, 12])
@@ -499,6 +525,41 @@ class TestDuhamel:
         assert coef.shape == (8, 0) and q.shape == (0, 5)
         with pytest.raises(KernelError):
             K._factor_rows(np.full((8, 5), np.inf))
+
+    def test_rule_is_computed_once(self):
+        first, second = duhamel_rule(K.DUHAMEL_ORDER), duhamel_rule(K.DUHAMEL_ORDER)
+        x, w = np.polynomial.legendre.leggauss(K.DUHAMEL_ORDER)
+        for a, b, want in zip(first, second, (0.5 * (x + 1.0), 0.5 * w)):
+            assert a is b and not a.flags.writeable
+            assert np.array_equal(a, want)
+
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, 1.0, 9),
+                                      np.array([0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 1.0]),
+                                      np.linspace(0.0, 1.0, 101)])
+    def test_one_contraction_per_step_length(self, kernel_cache, grid):
+        # grouped by step length, the steps give the per-step rule's bits, for
+        # (S P, V, C) samples of either memory order and the separable form
+        kern = kernel_cache("vicsek", 2)
+        rng = np.random.default_rng(3)
+        modes = rng.normal(size=(3, kern.n_vertices))
+        fields = rng.normal(size=(kern.n_vertices, 2))
+
+        def values(s):
+            return np.cos(np.outer(s, [1.0, 2.0, 5.0])) @ modes
+
+        def c_order(s):
+            return values(s)[:, :, None] * fields[None]
+
+        def column_major(s):
+            return np.asfortranarray(c_order(s))
+
+        _, (rules, _) = kern._duhamel_steps(grid)
+        assert len(rules) == len(np.unique(np.diff(grid)))
+        want = _per_step_duhamel(kern, grid, c_order)
+        assert np.array_equal(kern.duhamel(grid, c_order), want)
+        assert np.array_equal(kern.duhamel(grid, column_major), want)
+        assert np.array_equal(kern.duhamel(grid, values, fields=fields),
+                              _per_step_duhamel(kern, grid, values, fields))
 
     def test_grid_must_increase(self, kernel_cache):
         kern = kernel_cache("vicsek", 2)

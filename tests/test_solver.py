@@ -169,6 +169,87 @@ class TestNonlinearTerm:
         assert np.abs(_nl_field(prob2, sol2.u) - base).max() <= 1e-9
 
 
+def _gathered_nl_field(prob, u, times=None, ids=None):
+    """The nonlinear term with u interpolated node by node from gathered rows
+    (each node's solve interval found by searchsorted), and one contraction
+    per Duhamel step: the reference order of operations."""
+    kern, grid = prob.kernel, prob.times
+    times = grid if times is None else np.asarray(times, dtype=float)
+    nodes, (rules, which) = kern._duhamel_steps(times)
+    s = nodes.ravel()
+    idx = np.clip(np.searchsorted(grid, s, side="right") - 1, 0, len(grid) - 2)
+    w = (s - grid[idx]) / (grid[idx + 1] - grid[idx])
+    r = (1 - w[:, None]) * u[idx] + w[:, None] * u[idx + 1]
+    g = prob.spec.f(s, prob.points, r)
+    P, V = nodes.shape[1], kern.n_vertices
+    ghat = kern._to_modes(np.ascontiguousarray(g.T))[:, :, None]
+    accs = [np.zeros((V, 1))]
+    for i, k in enumerate(which):
+        E, W = rules[k]
+        added = np.einsum("kr,krc->kc", W, ghat[:, i * P:(i + 1) * P])
+        accs.append(E[:, None] * accs[-1] + added)
+    kept = np.stack(accs, axis=1)
+    return kern._from_modes(kept.reshape(V, -1), ids).T
+
+
+class TestInterpolation:
+    """_nl_field builds the node values in the transform's layout and
+    contracts once per step length, with the gathered path's bits."""
+
+    @staticmethod
+    def _field(prob, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-2, 2, (len(prob.times), len(prob.points)))
+
+    def test_solve_grid(self, prob2, sol2):
+        assert np.array_equal(_nl_field(prob2, sol2.u), _gathered_nl_field(prob2, sol2.u))
+
+    def test_cut_grids(self, prob2, sol2):
+        t = float(prob2.times[10])
+        for end in (t, t + 1e-9):
+            grid = np.append(prob2.times[prob2.times < end], end)
+            assert np.array_equal(_nl_field(prob2, sol2.u, grid, [7]),
+                                  _gathered_nl_field(prob2, sol2.u, grid, [7]))
+
+    def test_ulp_different_step_lengths(self, vicsek):
+        prob = prepare(ProblemSpec(vicsek, level=2, depth=3, n_steps=100))
+        _, (rules, _) = prob.kernel._duhamel_steps(prob.times)
+        assert len(rules) > 1
+        u = self._field(prob)
+        assert np.array_equal(_nl_field(prob, u), _gathered_nl_field(prob, u))
+
+    def test_dirichlet(self, vicsek):
+        prob = prepare(ProblemSpec(vicsek, level=2, depth=3, boundary="dirichlet"))
+        u = self._field(prob, 1)
+        assert np.array_equal(_nl_field(prob, u), _gathered_nl_field(prob, u))
+
+    def test_c_order_nonlinearity(self, vicsek):
+        prob = prepare(ProblemSpec(vicsek, level=2, depth=3, f=f_preset("time_linear")))
+        u = self._field(prob, 2)
+        assert np.array_equal(_nl_field(prob, u), _gathered_nl_field(prob, u))
+
+    def test_step_across_grid_time_refused(self, prob2, sol2):
+        t = prob2.times
+        with pytest.raises(SolverError):
+            _nl_field(prob2, sol2.u, [0.0, 0.5 * (t[1] + t[2])])
+        with pytest.raises(SolverError):
+            _nl_field(prob2, sol2.u, [0.0, t[-1] + 1e-9])
+
+    def test_transform_reads_what_f_returned(self, prob2, sol2, monkeypatch):
+        # sin returns its values column-major, the transform's layout: the
+        # array moved into modes is f's own, with no transposing copy
+        returned, received = [], []
+        f, to_modes = prob2.spec.f, prob2.kernel._to_modes
+        monkeypatch.setattr(prob2.spec, "f", Nonlinearity(
+            lambda s, pts, r: returned.append(f.fn(s, pts, r)) or returned[-1],
+            f.c_bound, f.lipschitz))
+        monkeypatch.setattr(prob2.kernel, "_to_modes",
+                            lambda x: received.append(x) or to_modes(x))
+        _nl_field(prob2, sol2.u)
+        assert len(returned) == len(received) == 1
+        assert np.shares_memory(received[0], returned[0])
+
+
 def _counted(f, calls):
     """f recording a copy of the time vector of every call."""
     return Nonlinearity(lambda s, pts, r: calls.append(s.copy()) or f.fn(s, pts, r),
