@@ -505,16 +505,16 @@ class HeatKernel:
             y[span] = U.T @ y[span]
         return y
 
-    def _from_modes(self, a: np.ndarray, ids=None, squared: bool = False) -> np.ndarray:
-        """Rows ids (default all) of B a = M^{-1/2} O_c (U_c a_c) for modes a
-        of shape (V,) or (V, k): one GEMM per block, then one sparse product.
+    def _from_modes(self, a: np.ndarray, squared: bool = False) -> np.ndarray:
+        """B a = M^{-1/2} O_c (U_c a_c) for modes a of shape (V,) or (V, k):
+        one GEMM per block, then one sparse product.
         With squared, of (B * B) a: a row of O_c holds at most one entry, so
         B * B = (M^{-1/2} O)^2 diag(U_c^2) entrywise."""
         out = self._out.multiply(self._out) if squared else self._out
         z = np.empty(a.shape)
         for U, span in zip(self._blocks, self._spans):
             z[span] = (U * U if squared else U) @ a[span]
-        return (out if ids is None else out[ids]) @ z
+        return out @ z
 
     def _rows(self, ids) -> np.ndarray:
         """B[ids], (V,) for one index: out of modes for the unit modes, rows
@@ -529,8 +529,8 @@ class HeatKernel:
     def _exp_lam(self, t) -> np.ndarray:
         """exp(lam t) for one time, (V,), or a vector of times, (K, V)."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise KernelError("negative time")
+        if not np.all(np.isfinite(t) & (t >= 0)):
+            raise KernelError("negative time or one that is not finite")
         with np.errstate(under="ignore"):
             return np.exp(np.multiply.outer(t, self.eigenvalues))
 
@@ -609,7 +609,7 @@ class HeatKernel:
             rules.append(self._duhamel_cache[key])
         return times[:-1, None] + h[:, None] * theta, (rules, which)
 
-    def duhamel(self, times, source, ids=None, fields=None, at=None) -> np.ndarray:
+    def duhamel(self, times, source, fields=None, at=None) -> np.ndarray:
         """int_{t_0}^{t_i} P(t_i - s) g(s) ds at the times t_i of a sorted grid.
 
         source(s) is called once, at the P = DUHAMEL_ORDER Gauss nodes of each
@@ -636,9 +636,9 @@ class HeatKernel:
         product per step length), and only the kept times are expanded, by
         acc ghat per mode; the result matches the per-node form to rounding.
 
-        The result holds rows ids (default all; one index drops the axis) at
-        the grid indices at (default every grid time), shape (K, X) for an
-        (S P, V) per-node source, else (K, X, C); it is zero at t_0.
+        The result holds every vertex at the grid indices at (default every
+        grid time), shape (K, V) for an (S P, V) per-node source, else
+        (K, V, C); it is zero at t_0.
         """
         nodes, (rules, which) = self._duhamel_steps(times)
         S, P = nodes.shape
@@ -680,8 +680,8 @@ class HeatKernel:
         if coef is not None:
             kept = np.einsum("kjr,krc->kjc", kept, ghat)                # (V, K, C)
         del ghat
-        out = self._from_modes(kept.reshape(V, -1), ids)
-        out = np.moveaxis(out.reshape(out.shape[:-1] + kept.shape[1:]), -2, 0)
+        out = np.moveaxis(self._from_modes(kept.reshape(V, -1)).reshape(kept.shape),
+                          0, 1)                                         # (K, V, C)
         return out[..., 0] if squeeze else out
 
 

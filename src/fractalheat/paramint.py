@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _text
 from .geometry import DEDUP_DECIMALS, FractalModel, GeometryError, cell_anchors
-from .kernel import HeatKernel
+from .kernel import ROUNDING_FLOOR, HeatKernel
 from .measure import MeasureRealization
 
 __all__ = [
@@ -155,7 +155,6 @@ class HFunction:
             raise ParamIntegralError(
                 f"sigma exponent {sigma.holder_exp} fails the d_f/2 = "
                 f"{model.d_f / 2:.4f} smoothness gate")
-        self._anchor_cache: dict = {}
 
     @property
     def model(self) -> FractalModel:
@@ -187,25 +186,22 @@ class HFunction:
         Anchors snap against the full vertex set; one whose nearest vertex
         was removed by a Dirichlet boundary gets id -1, since the killed
         kernel is zero there."""
-        key = (depth, anchor_rule)
-        if key not in self._anchor_cache:
-            model, vs = self.model, self.kernel.gen.vs
-            if not 0 <= anchor_rule < len(model.essential_indices):
-                raise GeometryError(
-                    f"anchor rule {anchor_rule} outside the essential fixed point set")
-            N, L = model.N, vs.level
-            if depth <= L:
-                j, k = model.essential_indices[anchor_rule], L - depth
-                tail = j * (N ** k - 1) // (N - 1)          # rank of the word j^k
-                ids = vs.cell_vertex_ids[np.arange(N ** depth) * N ** k + tail, anchor_rule]
-            else:
-                pts = cell_anchors(model, depth - L, 0, anchor_rule)
-                d2 = ((pts[:, None] - model.essential_fixed_points[None]) ** 2).sum(axis=-1)
-                # rounded as vertex_set rounds, so a tie goes to the first corner
-                corner = np.argmin(np.round(d2, DEDUP_DECIMALS), axis=1)
-                ids = vs.cell_vertex_ids[:, corner].ravel()
-            self._anchor_cache[key] = self.kernel.gen.positions()[ids]
-        return self._anchor_cache[key]
+        model, vs = self.model, self.kernel.gen.vs
+        if not 0 <= anchor_rule < len(model.essential_indices):
+            raise GeometryError(
+                f"anchor rule {anchor_rule} outside the essential fixed point set")
+        N, L = model.N, vs.level
+        if depth <= L:
+            j, k = model.essential_indices[anchor_rule], L - depth
+            tail = j * (N ** k - 1) // (N - 1)          # rank of the word j^k
+            ids = vs.cell_vertex_ids[np.arange(N ** depth) * N ** k + tail, anchor_rule]
+        else:
+            pts = cell_anchors(model, depth - L, 0, anchor_rule)
+            d2 = ((pts[:, None] - model.essential_fixed_points[None]) ** 2).sum(axis=-1)
+            # rounded as vertex_set rounds, so a tie goes to the first corner
+            corner = np.argmin(np.round(d2, DEDUP_DECIMALS), axis=1)
+            ids = vs.cell_vertex_ids[:, corner].ravel()
+        return self.kernel.gen.positions()[ids]
 
 
 def eval_h(hf: HFunction, t: float, x_id: int, y_id: int,
@@ -252,28 +248,28 @@ def h_matrix(hf: HFunction, t: float) -> np.ndarray:
 
 
 def h_row(hf: HFunction, t: float, x_id: int) -> np.ndarray:
-    """Row h((t, x_id), y) over all kernel vertices y: h_matrix's call, one row."""
-    return _duhamel_h(hf, [t], np.diag(1.0 / hf.kernel.weights), x_id)[0]
+    """Row h((t, x_id), y) over all kernel vertices y: row x_id of h_matrix's
+    call, which computes every row."""
+    return h_matrix(hf, t)[x_id]
 
 
-def _duhamel_h(hf: HFunction, times, fields, ids=None) -> np.ndarray:
-    """int_0^t P(t - s) [sigma(s, .) fields] ds at the times, rows ids: the
-    kernel's separable Duhamel form on the grid of _duhamel_grid, with sigma
-    called once at every Gauss node; (K, X, C), or (K, C) for one index."""
+def _duhamel_h(hf: HFunction, times, fields) -> np.ndarray:
+    """int_0^t P(t - s) [sigma(s, .) fields] ds at the times, at every vertex:
+    the kernel's separable Duhamel form on the grid of _duhamel_grid, with
+    sigma called once at every Gauss node; (K, V, C)."""
     grid, at = _duhamel_grid(hf, times)
-    return hf.kernel.duhamel(grid, lambda nodes: hf.sigma(nodes, hf.points), ids=ids,
+    return hf.kernel.duhamel(grid, lambda nodes: hf.sigma(nodes, hf.points),
                              fields=fields, at=at)
 
 
 @dataclass
 class EtaEvaluation:
-    """Cell sums S^(n)(z) for n = 0..n_max on the z grid, their sup increments
-    per level, and the final values eta = S^(n_max).  Every level is kept
-    here; to_csv writes the final one."""
+    """Cell sums S^(n)(z) for n = 0..n_max on the z grid, at every kernel
+    vertex, their sup increments per level, and the final values
+    eta = S^(n_max).  Every level is kept here; to_csv writes the final one."""
 
     times: np.ndarray            # (K,)
-    x_ids: np.ndarray            # (X,) kernel vertex ids
-    partial: np.ndarray          # (n_max + 1, K, X)
+    partial: np.ndarray          # (n_max + 1, K, V)
 
     @property
     def n_max(self) -> int:
@@ -299,8 +295,8 @@ class EtaEvaluation:
 
     def to_csv(self, path) -> None:
         """Rows t,x_id,level,partial_sum of the final level n_max: time, then
-        vertex (the coarser levels are summed up by diagnostics_csv)."""
-        keys = [f"{x}{self.n_max}," for x in _text.ints(self.x_ids)]
+        vertex id 0..V-1 (the coarser levels are summed up by diagnostics_csv)."""
+        keys = [f"{x}{self.n_max}," for x in _text.ints(range(self.partial.shape[2]))]
         with _text.open_table(path, "t,x_id,level,partial_sum\n") as f:
             for head, block in zip(_text.floats(self.times), self.eta):
                 _text.write_block(f, head, keys, block)
@@ -312,8 +308,8 @@ class EtaEvaluation:
 
 
 def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
-             x_ids=None, anchor_rule: int = 0) -> EtaEvaluation:
-    """Evaluate the cell-sum scheme on (z_times x x_ids), x_ids default all.
+             anchor_rule: int = 0) -> EtaEvaluation:
+    """Evaluate the cell-sum scheme at z_times and every kernel vertex.
 
     For each level the cell masses are aggregated onto their (snapped) anchor
     vertices; one _duhamel_h call, with fields agg_n / m, then carries the
@@ -328,16 +324,14 @@ def eval_eta(hf: HFunction, real: MeasureRealization, z_times, n_max: int,
     times = np.atleast_1d(np.asarray(z_times, dtype=float))
     kern = hf.kernel
     V = kern.n_vertices
-    rows = None if x_ids is None else np.asarray(x_ids, dtype=np.int64)
     agg = np.zeros((n_max + 1, V))
     for n in range(n_max + 1):
         ids = hf.snap_ids(n, anchor_rule)
         kept = ids >= 0               # anchors on killed vertices add nothing
         np.add.at(agg[n], ids[kept], real.level_masses(n)[kept])
     # the operator integrates against the vertex weights, eta against mu
-    vals = _duhamel_h(hf, times, (agg / kern.weights).T, rows)     # (K, X, levels)
-    x_ids = np.arange(V) if rows is None else rows
-    return EtaEvaluation(times, x_ids, vals.transpose(2, 0, 1))
+    vals = _duhamel_h(hf, times, (agg / kern.weights).T)     # (K, V, levels)
+    return EtaEvaluation(times, vals.transpose(2, 0, 1))
 
 
 @dataclass
@@ -357,7 +351,7 @@ def estimate_h_holder(hf: HFunction, t: float, x_id: int) -> HolderRegression:
     pairs, dist = _holder_pairs(hf.kernel.gen, np.random.default_rng(0), 80)
     row = h_row(hf, t, x_id)
     dh = np.abs(row[pairs[:, 0]] - row[pairs[:, 1]])
-    ok = dh > 1e-14 * max(np.abs(row).max(), 1e-300)
+    ok = dh > ROUNDING_FLOOR * max(np.abs(row).max(), 1e-300)
     if ok.sum() < 10:
         raise ParamIntegralError("degenerate regression: too few usable pairs")
     slope, intercept = np.polyfit(np.log(dist[ok]), np.log(dh[ok]), 1)

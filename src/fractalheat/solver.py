@@ -7,12 +7,12 @@ The fixed-point map is
             + eta(t, x),
 
 where eta is the frozen stochastic parameter integral (it does not depend on u,
-so it is computed once per run).  The three terms are fields on the whole grid,
-each one kernel call: P_t u0 is one apply on the grid's time vector, and the
-nonlinear term and eta are one Duhamel sweep each.  In the nonlinear sweep u is
-linear in time between grid rows, f is called once with the Gauss nodes of
-every grid step, and exp(lam (t - s)) is integrated exactly in every
-eigenvalue.  picard_solve starts from u = 0;
+so it is computed once per run).  The three terms are fields at every time of
+the solve grid and every vertex, each one kernel call: P_t u0 is one apply on
+the grid's time vector, and the nonlinear term and eta are one Duhamel sweep
+each.  In the nonlinear sweep u is linear in time between grid rows, f is
+called once with the Gauss nodes of every grid step, and exp(lam (t - s)) is
+integrated exactly in every eigenvalue.  picard_solve starts from u = 0;
 successive differences g_n(t) = sup_x |u^(n+1) - u^(n)|(t) contract factorially
 in K_f t and the run stops on their sup or after max_iter sweeps.
 uniqueness_check runs the same sweeps from a second start, det + offset, with
@@ -293,30 +293,20 @@ def _stoch_field(prob: PreparedProblem) -> np.ndarray:
     return out
 
 
-def _nl_field(prob: PreparedProblem, u: np.ndarray, times=None, ids=None) -> np.ndarray:
-    """Nonlinear term int_0^t P(t - s) f(s, ., u(s, .)) ds for the iterate u
-    (rows on the solve grid), at the given grid times (default the solve
-    grid) and vertex rows ids (default all).  f is called once per sweep,
-    with every Gauss node of the grid and u interpolated there, linearly in
-    time between solve-grid rows.
-
-    Every step of the given grid must lie inside one interval of the solve
-    grid (the solve grid itself, or one cut at or just past a grid time);
-    SolverError otherwise.  The node values are built as a C-order (V, S, P)
+def _nl_field(prob: PreparedProblem, u: np.ndarray) -> np.ndarray:
+    """Nonlinear term int_0^t P(t - s) f(s, ., u(s, .)) ds for the iterate u,
+    at every solve-grid time and vertex.  f is called once per sweep, with
+    every Gauss node of the grid and u interpolated there, linearly in time
+    between grid rows.  The node values are built as a C-order (V, S, P)
     array, the layout the Duhamel rule moves into modes, and f gets its
     (S P, V) transposed view."""
     f, pts, grid = prob.spec.f, prob.points, prob.times
-    times = grid if times is None else np.asarray(times, dtype=float)
-    # the solve interval [grid[j], grid[j + 1]] holding each Duhamel step
-    j = np.clip(np.searchsorted(grid, times[:-1], side="right") - 1, 0, len(grid) - 2)
-    if times[0] < grid[0] or np.any(times[1:] > grid[j + 1]):
-        raise SolverError("every Duhamel step must lie inside one interval of the solve grid")
     rows = np.ascontiguousarray(u.T)                    # (V, K)
-    lo, hi = rows[:, j], rows[:, j + 1]                 # (V, S)
+    lo, hi = rows[:, :-1], rows[:, 1:]                  # (V, S)
 
     def source(nodes):
-        s = nodes.reshape(len(j), -1)                   # (S, P)
-        w = (s - grid[j, None]) / (grid[j + 1] - grid[j])[:, None]
+        s = nodes.reshape(len(grid) - 1, -1)            # (S, P)
+        w = (s - grid[:-1, None]) / np.diff(grid)[:, None]
         # (1 - w) lo + w hi as (V, S P), with every inner loop S P long
         r = np.repeat(lo, s.shape[1], axis=1)
         b = np.repeat(hi, s.shape[1], axis=1)
@@ -325,7 +315,7 @@ def _nl_field(prob: PreparedProblem, u: np.ndarray, times=None, ids=None) -> np.
         r += b
         return f(nodes, pts, r.T)
 
-    return prob.kernel.duhamel(times, source, ids)
+    return prob.kernel.duhamel(grid, source)
 
 
 def predicted_iterations(spec: ProblemSpec) -> int:

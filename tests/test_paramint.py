@@ -201,7 +201,7 @@ def _counted(sigma, calls):
                          sigma.c_bound, sigma.holder_const, sigma.holder_exp)
 
 
-def _per_node_eta(hf, real, times, n_max, x_ids=None):
+def _per_node_eta(hf, real, times, n_max):
     """Reference: eval_eta's sources moved into modes one Gauss node at a
     time, through the kernel's per-node Duhamel form."""
     kern = hf.kernel
@@ -217,7 +217,7 @@ def _per_node_eta(hf, real, times, n_max, x_ids=None):
         return hf.sigma(nodes, pts)[:, :, None] * per_weight
 
     grid, at = _duhamel_grid(hf, times)
-    return kern.duhamel(grid, source, ids=x_ids)[at].transpose(2, 0, 1)
+    return kern.duhamel(grid, source)[at].transpose(2, 0, 1)
 
 
 def _bump_sigma():
@@ -232,7 +232,7 @@ class TestSeparableEta:
 
     TIMES = np.linspace(0.0625, 1.0, 16)
 
-    def _check(self, monkeypatch, kern, sigma, x_ids=None, n_max=4):
+    def _check(self, monkeypatch, kern, sigma, n_max=4):
         import fractalheat.kernel as K
 
         ranks, calls = [], []
@@ -246,11 +246,11 @@ class TestSeparableEta:
         monkeypatch.setattr(K, "_factor_rows", spy)
         hf = HFunction(kern, _counted(sigma, calls), T=1.0, strict=False)
         real = realize(BaseSM("gaussian_white", seed=5), kern.model, n_max=n_max)
-        got = eval_eta(hf, real, self.TIMES, n_max, x_ids=x_ids).partial
+        got = eval_eta(hf, real, self.TIMES, n_max).partial
         grid, _ = _duhamel_grid(hf, self.TIMES)
         nodes, _ = kern._duhamel_steps(grid)
         assert len(calls) == 1 and np.array_equal(calls[0], nodes.ravel())
-        want = _per_node_eta(hf, real, self.TIMES, n_max, x_ids)
+        want = _per_node_eta(hf, real, self.TIMES, n_max)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         return ranks[0], got
 
@@ -275,11 +275,6 @@ class TestSeparableEta:
     def test_dirichlet_kernel(self, monkeypatch, kernel_cache, vicsek, name):
         sigma = _bump_sigma() if name == "bump" else sigma_preset(name, vicsek)
         self._check(monkeypatch, kernel_cache("vicsek", 3, 0, "dirichlet"), sigma)
-
-    def test_x_ids_subset(self, monkeypatch, kernel_cache, vicsek):
-        _, got = self._check(monkeypatch, kernel_cache("vicsek", 3),
-                             _bump_sigma(), x_ids=[0, 7, 200, 375])
-        assert got.shape == (5, len(self.TIMES), 4)
 
     def test_non_finite_sigma_refused(self, kernel_cache):
         from fractalheat.kernel import KernelError
@@ -416,6 +411,25 @@ class TestHHolder:
     def test_level_guard(self, hf2):
         with pytest.raises(ParamIntegralError):
             estimate_h_holder(hf2, 0.2, 1)
+
+    @pytest.mark.parametrize("t,x", [(0.05, 40), (0.2, 200)])
+    def test_exponent_ignores_rounding_level_increments(self, hf3, monkeypatch, t, x):
+        # increments at the rounding level of h carry no regularity: moving
+        # every entry of the row by +-5e-15 of its maximum leaves the exponent
+        # in place
+        import fractalheat.paramint as paramint
+
+        ref = estimate_h_holder(hf3, t, x).exponent
+        row = paramint.h_row
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+
+            def moved(hf, t, x_id):
+                out = row(hf, t, x_id)
+                return out + 5e-15 * np.abs(out).max() * rng.choice([-1.0, 1.0], size=out.shape)
+
+            monkeypatch.setattr(paramint, "h_row", moved)
+            assert estimate_h_holder(hf3, t, x).exponent == pytest.approx(ref, abs=1e-6)
 
 
 class TestIncrementBoundStructure:

@@ -141,26 +141,6 @@ class TestNonlinearTerm:
         nl = sol.u - sol.deterministic - sol.stochastic
         assert np.abs(nl - 0.5 * (sol.times ** 2)[:, None]).max() < 1e-6
 
-    @staticmethod
-    def _nl_at(prob, u, t, x):
-        """Nonlinear term at (t, x) through the field form on the solve grid
-        cut at t."""
-        grid = np.append(prob.times[prob.times < t], t)
-        return float(_nl_field(prob, u, grid, [x])[-1, 0])
-
-    def test_cut_grid_matches_field(self, prob2, sol2):
-        i, x = 10, 7
-        got = self._nl_at(prob2, sol2.u, float(sol2.times[i]), x)
-        want = sol2.u[i, x] - sol2.deterministic[i, x] - sol2.stochastic[i, x]
-        assert got == pytest.approx(want, abs=5e-8)
-
-    def test_cut_grid_just_past_grid_time(self, prob2, sol2):
-        # a last step of 1e-9 adds next to nothing to the grid value
-        i, x = 10, 7
-        got = self._nl_at(prob2, sol2.u, float(sol2.times[i]) + 1e-9, x)
-        want = sol2.u[i, x] - sol2.deterministic[i, x] - sol2.stochastic[i, x]
-        assert got == pytest.approx(want, abs=5e-8)
-
     def test_time_quadrature_p_refinement(self, prob2, sol2, monkeypatch):
         # the Duhamel rule is exact in the eigenvalues; raising the number
         # of Gauss nodes per step must leave the nonlinear field in place
@@ -169,13 +149,12 @@ class TestNonlinearTerm:
         assert np.abs(_nl_field(prob2, sol2.u) - base).max() <= 1e-9
 
 
-def _gathered_nl_field(prob, u, times=None, ids=None):
+def _gathered_nl_field(prob, u):
     """The nonlinear term with u interpolated node by node from gathered rows
     (each node's solve interval found by searchsorted), and one contraction
     per Duhamel step: the reference order of operations."""
     kern, grid = prob.kernel, prob.times
-    times = grid if times is None else np.asarray(times, dtype=float)
-    nodes, (rules, which) = kern._duhamel_steps(times)
+    nodes, (rules, which) = kern._duhamel_steps(grid)
     s = nodes.ravel()
     idx = np.clip(np.searchsorted(grid, s, side="right") - 1, 0, len(grid) - 2)
     w = (s - grid[idx]) / (grid[idx + 1] - grid[idx])
@@ -189,7 +168,7 @@ def _gathered_nl_field(prob, u, times=None, ids=None):
         added = np.einsum("kr,krc->kc", W, ghat[:, i * P:(i + 1) * P])
         accs.append(E[:, None] * accs[-1] + added)
     kept = np.stack(accs, axis=1)
-    return kern._from_modes(kept.reshape(V, -1), ids).T
+    return kern._from_modes(kept.reshape(V, -1)).T
 
 
 class TestInterpolation:
@@ -203,13 +182,6 @@ class TestInterpolation:
 
     def test_solve_grid(self, prob2, sol2):
         assert np.array_equal(_nl_field(prob2, sol2.u), _gathered_nl_field(prob2, sol2.u))
-
-    def test_cut_grids(self, prob2, sol2):
-        t = float(prob2.times[10])
-        for end in (t, t + 1e-9):
-            grid = np.append(prob2.times[prob2.times < end], end)
-            assert np.array_equal(_nl_field(prob2, sol2.u, grid, [7]),
-                                  _gathered_nl_field(prob2, sol2.u, grid, [7]))
 
     def test_ulp_different_step_lengths(self, vicsek):
         prob = prepare(ProblemSpec(vicsek, level=2, depth=3, n_steps=100))
@@ -227,13 +199,6 @@ class TestInterpolation:
         prob = prepare(ProblemSpec(vicsek, level=2, depth=3, f=f_preset("time_linear")))
         u = self._field(prob, 2)
         assert np.array_equal(_nl_field(prob, u), _gathered_nl_field(prob, u))
-
-    def test_step_across_grid_time_refused(self, prob2, sol2):
-        t = prob2.times
-        with pytest.raises(SolverError):
-            _nl_field(prob2, sol2.u, [0.0, 0.5 * (t[1] + t[2])])
-        with pytest.raises(SolverError):
-            _nl_field(prob2, sol2.u, [0.0, t[-1] + 1e-9])
 
     def test_transform_reads_what_f_returned(self, prob2, sol2, monkeypatch):
         # sin returns its values column-major, the transform's layout: the
@@ -317,9 +282,8 @@ class TestStochasticTerm:
         t = float(prob.times[16])
         aid = prob.hfunction.snap_ids(2)[4]
         want = h_matrix(prob.hfunction, t)[:, aid]
-        got = eval_eta(prob.hfunction, prob.realization, [t], n_max=prob.spec.depth,
-                       x_ids=[0, 5, 40]).eta[0]
-        assert np.allclose(got, want[[0, 5, 40]], atol=1e-12)
+        got = eval_eta(prob.hfunction, prob.realization, [t], n_max=prob.spec.depth).eta[0]
+        assert np.allclose(got[[0, 5, 40]], want[[0, 5, 40]], atol=1e-12)
 
 
 class TestPicard:

@@ -21,8 +21,8 @@ def ref_eta(ev, path):
     with open(path, "w", encoding="utf-8") as f:
         f.write("t,x_id,level,partial_sum\n")
         for i, t in enumerate(ev.times):
-            for j, x in enumerate(ev.x_ids):
-                f.write(f"{float(t)!r},{x},{ev.n_max},{float(ev.eta[i, j])!r}\n")
+            for j in range(ev.eta.shape[1]):
+                f.write(f"{float(t)!r},{j},{ev.n_max},{float(ev.eta[i, j])!r}\n")
 
 
 def ref_eta_convergence(ev, path):
