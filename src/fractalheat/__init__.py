@@ -23,12 +23,10 @@ itself is single-threaded.
 from .geometry import (
     CellAddress,
     FractalModel,
-    MeasureWeights,
     VertexSet,
     apply_word,
     build_preset,
     check_assumption1,
-    measure_weights,
     vertex_set,
 )
 # NOTE: the table constructor fractalheat.kernel.kernel is not re-exported

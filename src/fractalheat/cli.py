@@ -8,8 +8,8 @@ live only there, so repeated runs of the same configuration produce
 byte-identical artifacts).
 
 Exit codes: 0 success, 1 computation failure, 2 validation failure, refused
-before any artifact: bad options or model files, a vertex set above the dense
-kernel budget, a failed assumption gate.
+before any artifact: bad options or model files, a noise depth above the cell
+budget, a vertex set above the dense kernel budget, a failed assumption gate.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import sys
 from datetime import datetime, timezone
 from typing import Callable, NamedTuple
 
+from .geometry import MAX_CELLS
 from .kernel import KernelSizeError, log_time_grid, scaling_window
 from .paramint import ParamIntegralError
 from .solver import AssumptionGateError, ProblemSpec, SolverError, bump_center
@@ -279,15 +280,17 @@ def _write_manifest(out: str, files) -> str:
 def _check_depth(cfg: dict) -> None:
     if cfg["depth"] < cfg["blowup"]:
         raise ValidationError(f"depth={cfg['depth']} below blowup={cfg['blowup']}")
+    if cfg["model"].N ** cfg["depth"] > MAX_CELLS:
+        raise ValidationError(f"depth={cfg['depth']} needs more than {MAX_CELLS} noise cells")
 
 
 def cmd_model(cfg: dict) -> list[str]:
     """build a model and export its vertex set"""
-    from .geometry import measure_weights, vertex_set
+    from .geometry import vertex_set
     model = cfg["model"]
     vs = vertex_set(model, cfg["level"], cfg["blowup"])
     out = _outdir(cfg)
-    vs.to_csv(os.path.join(out, "vertices.csv"), measure_weights(vs))
+    vs.to_csv(os.path.join(out, "vertices.csv"))
     with open(os.path.join(out, "model.txt"), "w", encoding="utf-8") as f:
         f.write(f"name {model.name}\nN {model.N}\nalpha {model.alpha!r}\n"
                 f"d_f {model.d_f!r}\nd_s {model.d_s!r}\nd_w {model.d_w!r}\n"

@@ -30,12 +30,10 @@ __all__ = [
     "FractalModel",
     "CellAddress",
     "VertexSet",
-    "MeasureWeights",
     "build_preset",
     "apply_word",
     "vertex_set",
     "check_assumption1",
-    "measure_weights",
     "cell_corners",
     "cell_anchors",
     "load_ifs_file",
@@ -166,13 +164,6 @@ class CellAddress:
     def depth(self) -> int:
         return len(self.word)
 
-    def child(self, i: int) -> "CellAddress":
-        return CellAddress(self.word + (i,), self.blowup)
-
-    def diameter(self, model: FractalModel) -> float:
-        """alpha^(M - n): the cell diameter in units of diam(E)."""
-        return model.alpha ** (self.blowup - self.depth)
-
 
 def build_preset(name: str) -> FractalModel:
     """Construct a preset model ('vicsek' or 'gasket')."""
@@ -238,7 +229,7 @@ def cell_anchors(model: FractalModel, depth: int, blowup: int = 0, rule: int = 0
 @dataclass
 class VertexSet:
     """Deduplicated vertices of the depth-n cell decomposition of alpha^M * E,
-    with cell membership and the cell-sharing adjacency graph."""
+    with cell membership, the cell-sharing graph and the vertex measure."""
 
     model: FractalModel
     level: int
@@ -246,7 +237,7 @@ class VertexSet:
     points: np.ndarray            # (V, d)
     cell_vertex_ids: np.ndarray   # (N^level, |F0|) int
     edges: np.ndarray             # (E, 2) int, each pair shares a cell
-    vertex_cell_count: np.ndarray  # (V,) number of cells containing each vertex
+    weights: np.ndarray           # (V,) discretized Hausdorff measure
 
     @property
     def n_vertices(self) -> int:
@@ -276,21 +267,22 @@ class VertexSet:
         from scipy.sparse.csgraph import connected_components
         return connected_components(self._adjacency(), directed=False)[0] == 1
 
-    def to_csv(self, path, weights: "MeasureWeights | None" = None) -> None:
+    def to_csv(self, path) -> None:
         """Rows vertex_id,x0,..,weight in vertex order."""
-        w = weights.weights if weights is not None else measure_weights(self).weights
         cols = ",".join(f"x{i}" for i in range(self.points.shape[1]))
         with _text.open_table(path, f"vertex_id,{cols},weight\n") as f:
             _text.write_block(f, "", _text.ints(range(self.n_vertices)),
-                               np.column_stack([self.points, w]))
+                               np.column_stack([self.points, self.weights]))
 
 
 def vertex_set(model: FractalModel, n: int, M: int = 0) -> VertexSet:
-    """Build F^(n) inside alpha^M * E: points, cell membership, adjacency.
+    """Build F^(n) inside alpha^M * E: points, cell membership, adjacency, and
+    the d_f-dimensional Hausdorff measure: each depth-n cell's mass N^(-n) *
+    alpha^(M * d_f) split equally among its |F0| corner images, summed at
+    shared vertices.
 
     Points matching after rounding to 1e-9 are identified (preset coordinates
-    are triadic/dyadic rationals, so only float jitter is absorbed).
-    """
+    are triadic/dyadic rationals, so only float jitter is absorbed)."""
     if n < 0 or M < 0:
         raise GeometryError("level and blowup must be >= 0")
     n_cells = model.N ** n
@@ -311,38 +303,13 @@ def vertex_set(model: FractalModel, n: int, M: int = 0) -> VertexSet:
     pairs = np.sort(pairs, axis=1)
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     edges = np.unique(pairs, axis=0)
-    counts = np.zeros(len(points), dtype=np.int64)
-    np.add.at(counts, cell_vertex_ids, 1)
-    vs = VertexSet(model, n, M, points, cell_vertex_ids, edges, counts)
+    share = model.alpha ** (M * model.d_f) / model.N ** n / F0
+    weights = np.zeros(len(points))
+    np.add.at(weights, cell_vertex_ids, share)
+    vs = VertexSet(model, n, M, points, cell_vertex_ids, edges, weights)
     if not vs.is_connected():
         raise GeometryError("cell-sharing graph is disconnected; nesting violated")
     return vs
-
-
-@dataclass
-class MeasureWeights:
-    """Per-vertex discretization of the d_f-dimensional Hausdorff measure.
-
-    Every depth-n cell carries mass N^(-n) * alpha^(M * d_f), split equally
-    among its |F0| corner images; shared vertices accumulate each share.
-    """
-
-    weights: np.ndarray
-    level: int
-    blowup: int
-    total: float
-
-    def __len__(self):
-        return len(self.weights)
-
-
-def measure_weights(vs: VertexSet) -> MeasureWeights:
-    model = vs.model
-    cell_mass = model.alpha ** (vs.blowup * model.d_f) / model.N ** vs.level
-    share = cell_mass / vs.cell_vertex_ids.shape[1]
-    w = np.zeros(vs.n_vertices)
-    np.add.at(w, vs.cell_vertex_ids, share)
-    return MeasureWeights(w, vs.level, vs.blowup, float(w.sum()))
 
 
 def check_assumption1(model: FractalModel, m: int, samples: int = 200,

@@ -55,7 +55,7 @@ import numpy as np
 import scipy.linalg  # noqa: F401
 
 from . import _text
-from .geometry import DEDUP_DECIMALS, FractalModel, VertexSet, measure_weights
+from .geometry import DEDUP_DECIMALS, FractalModel, VertexSet
 
 __all__ = [
     "GeneratorMatrix",
@@ -180,7 +180,7 @@ def build_generator(vs: VertexSet, boundary: str = "reflecting") -> GeneratorMat
     # the edges are distinct pairs of distinct vertices: no entry is summed
     L = csr_array((np.r_[jump[a], jump[b], np.full(n, -rate)],
                    (np.r_[a, b, np.arange(n)], np.r_[b, a, np.arange(n)])), shape=(n, n))
-    m = measure_weights(vs).weights[kept]
+    m = vs.weights[kept]
     W = L.multiply(m[:, None])          # m_x L[x, y]
     gap = float(abs(W - W.T).max() / max(abs(W).max(), 1e-300))
     return GeneratorMatrix(vs, L, rate, boundary, kept, m, gap)
@@ -561,7 +561,9 @@ class HeatKernel:
         return self._exp_lam(times) @ (bi * bj)
 
     def apply(self, t, v: np.ndarray) -> np.ndarray:
-        """P(t) @ v for one time, (V,), or a vector of times, (K, V)."""
+        """P(t) @ v for one (V,) vector v at one time, (V,), or a vector of times, (K, V)."""
+        if np.shape(v) != (self.n_vertices,):
+            raise KernelError(f"v has shape {np.shape(v)}, not ({self.n_vertices},)")
         return self._from_modes((self._exp_lam(t) * self._to_modes(v)).T).T
 
     def invariant_gaps(self, t: float) -> dict:

@@ -161,10 +161,6 @@ class MeasureRealization:
     component_weights: np.ndarray
     component_levels: list          # per component: list of level arrays
 
-    @property
-    def n_components(self) -> int:
-        return len(self.component_weights)
-
     def level_masses(self, n: int) -> np.ndarray:
         """Masses of all N^n depth-n cells in word-rank order."""
         if not 0 <= n <= self.n_max:
@@ -185,9 +181,6 @@ class MeasureRealization:
             return float(self.component_levels[comp][n - self.blowup][k])
         return float(self.level_masses(n)[interval_rank(addr.word, self.model.N) - 1])
 
-    def total_mass(self) -> float:
-        return float(self.level_masses(0)[0])
-
     def additivity_gap(self) -> float:
         """Worst |mass(parent) - sum children| over every realized node."""
         gap = 0.0
@@ -198,35 +191,19 @@ class MeasureRealization:
                     parents - children.reshape(-1, N).sum(axis=1)))))
         return gap
 
-    def scaled(self, factor: float) -> "MeasureRealization":
-        return MeasureRealization(
-            self.model, self.base, self.blowup, self.n_max,
-            self.component_weights.copy(),
-            [[arr * factor for arr in lv] for lv in self.component_levels])
 
+def realize(base: BaseSM, model: FractalModel, M: int = 0, n_max: int = 4) -> MeasureRealization:
+    """Sample a measure realization on the depth-n_max tree of alpha^M E.
 
-def default_component_weights(n_components: int) -> np.ndarray:
-    """Summable weights 2^-j for the blow-up extension; a single component
-    (M = 0) keeps weight 1 so the unit domain is undistorted."""
-    if n_components == 1:
-        return np.ones(1)
-    return 0.5 ** np.arange(1, n_components + 1)
-
-
-def realize(base: BaseSM, model: FractalModel, M: int = 0, n_max: int = 4,
-            component_weights=None) -> MeasureRealization:
-    """Sample a measure realization on the depth-n_max tree of alpha^M E."""
+    The N^M blow-up components carry independent copies of the base measure
+    with the summable weights 2^-j, j = 1..N^M; a single component (M = 0)
+    keeps weight 1, so the unit domain is undistorted."""
     if n_max < M:
         raise MeasureError("n_max must be at least the blowup depth")
     if model.N ** n_max > MAX_CELLS:
         raise MeasureError(f"depth {n_max} needs {model.N ** n_max} cells > budget")
     n_comp = model.N ** M
-    if component_weights is None:
-        weights = default_component_weights(n_comp)
-    else:
-        weights = np.asarray(component_weights, dtype=float)
-        if len(weights) != n_comp:
-            raise MeasureError(f"need {n_comp} component weights")
+    weights = np.ones(1) if n_comp == 1 else 0.5 ** np.arange(1, n_comp + 1)
     streams = np.random.SeedSequence(base.seed).spawn(n_comp)
     comp_levels = []
     for j in range(n_comp):

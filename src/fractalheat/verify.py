@@ -357,13 +357,12 @@ def check_reproducibility() -> CheckResult:
 # quick-suite variants
 
 def quick_geometry() -> CheckResult:
-    from .geometry import CellAddress, apply_word, check_assumption1, measure_weights
+    from .geometry import CellAddress, apply_word, check_assumption1
     model = _model("vicsek")
     counts = [_vertex_set("vicsek", n).n_vertices for n in range(4)]
     ok = counts == [4, 16, 76, 376]
     ok &= check_assumption1(model, 1, samples=50) == 4
-    w = measure_weights(_vertex_set("vicsek", 2))
-    ok &= abs(w.total - 1) < 1e-12
+    ok &= abs(_vertex_set("vicsek", 2).weights.sum() - 1) < 1e-12
     ok &= bool(np.allclose(apply_word(model, CellAddress((1,)), [1.0, 1.0]),
                            [1 / 3, 1 / 3]))
     return CheckResult(bool(ok), f"counts {counts}, k=4",

@@ -23,12 +23,13 @@ def _exports(trees):
     return out
 
 
-def _readme_public_api():
-    """Names listed as `module.name` at the start of a bullet in the README's
-    Public API section."""
+def _readme_public_api(parts):
+    """Names listed as `module.name` (parts 2) or `module.Class.member`
+    (parts 3) at the start of a bullet in the README's Public API section."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"^\* `(\w+\.\w+)`", section, flags=re.M))
+    dotted = r"\.".join([r"\w+"] * parts)
+    return set(re.findall(rf"^\* `({dotted})`", section, flags=re.M))
 
 
 def test_every_export_has_a_caller_or_a_reason():
@@ -41,7 +42,7 @@ def test_every_export_has_a_caller_or_a_reason():
             for module, tree in trees.items() if module != "__init__"
             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
     exports = _exports(trees)
-    listed = _readme_public_api()
+    listed = _readme_public_api(2)
     assert listed <= set(exports), f"README lists unexported names {listed - set(exports)}"
     uncalled = sorted(q for q, name in exports.items() if name not in used and q not in listed)
     assert not uncalled, f"exported, never called in src/ and not in the README: {uncalled}"
@@ -145,3 +146,29 @@ def test_one_duhamel_implementation():
     for path in sorted(SRC.glob("*.py")):
         scan(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), [], path)
     assert callers == ["kernel.py:HeatKernel.duhamel"]
+
+
+def test_every_public_member_has_a_reader_or_a_reason():
+    # a public method or property that nothing reads is surface to maintain,
+    # as an unread export is.  The benchmark's tracer patches methods by
+    # name, so a name written as a string in perfbench/ counts as a reader
+    members = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                members.update({f"{path.stem}.{node.name}.{item.name}": item.name
+                                for item in node.body
+                                if isinstance(item, ast.FunctionDef)
+                                and not item.name.startswith("_")})
+    read = set()
+    for path in sorted([*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]):
+        in_perfbench = path.parent.name == "perfbench"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif in_perfbench and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    listed = _readme_public_api(3)
+    assert listed <= set(members), f"README lists unknown members {listed - set(members)}"
+    unread = sorted(q for q, name in members.items() if name not in read and q not in listed)
+    assert not unread, f"public members read nowhere in src/ or perfbench/: {unread}"

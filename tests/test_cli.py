@@ -188,6 +188,23 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["sm", "sample"], ["eta", "--level", "5", "--times", "0.5"],
+                                      ["solve", "--level", "5"]], ids=" ".join)
+    def test_depth_beyond_cell_budget_refused(self, tmp_path, monkeypatch, argv):
+        # Vicsek depth 10 needs 5^10 = 9,765,625 noise cells; refused before
+        # any vertex set or kernel is built, not after the factorization
+        import fractalheat.geometry as geometry
+
+        def not_built(*args, **kwargs):
+            raise AssertionError("built before the depth was checked")
+
+        monkeypatch.setattr(geometry, "vertex_set", not_built)
+        monkeypatch.setattr(K, "HeatKernel", not_built)
+        out = tmp_path / "out"
+        rc = main([*argv, "--depth", "10", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["eta", "--level", "2", "--sigma", "rough_half"],      # 0.5 <= d_f/2
         ["kernel", "--level", "4", "--format", "binary"],      # V = 1,876

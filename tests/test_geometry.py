@@ -16,7 +16,6 @@ from fractalheat.geometry import (
     cell_corners,
     check_assumption1,
     load_ifs_file,
-    measure_weights,
     vertex_set,
 )
 
@@ -168,8 +167,9 @@ class TestVertexSet:
 
     def test_membership_bounds(self, vs_cache):
         vs = vs_cache("vicsek", 3)
-        assert vs.vertex_cell_count.min() >= 1
-        assert vs.vertex_cell_count.max() <= 2   # contact points join two cells
+        cells = np.bincount(vs.cell_vertex_ids.ravel(), minlength=vs.n_vertices)
+        assert cells.min() >= 1
+        assert cells.max() <= 2   # contact points join two cells
 
     def test_vertex_cells_lookup(self, vs_cache):
         vs = vs_cache("vicsek", 1)
@@ -197,37 +197,33 @@ class TestVertexSet:
 
 class TestMeasureWeights:
     def test_level0_equal_quarters(self, vs_cache):
-        w = measure_weights(vs_cache("vicsek", 0))
-        assert np.allclose(w.weights, 0.25)
-        assert abs(w.total - 1.0) < 1e-12
+        w = vs_cache("vicsek", 0).weights
+        assert np.allclose(w, 0.25)
+        assert abs(w.sum() - 1.0) < 1e-12
 
     def test_level1_shared_shares(self, vs_cache):
-        w = measure_weights(vs_cache("vicsek", 1))
-        vals = np.sort(np.round(w.weights, 12))
+        w = vs_cache("vicsek", 1).weights
+        vals = np.sort(np.round(w, 12))
         assert set(vals) == {0.05, 0.1}
         assert (vals == 0.1).sum() == 4          # the four contact vertices
-        assert abs(w.total - 1.0) < 1e-12
+        assert abs(w.sum() - 1.0) < 1e-12
 
     def test_blowup_total(self, vicsek):
-        vs = vertex_set(vicsek, 2, M=1)
-        w = measure_weights(vs)
+        w = vertex_set(vicsek, 2, M=1).weights
         # alpha^{M d_f} = N^M = 5
-        assert abs(w.total - 5.0) < 5e-12
+        assert abs(w.sum() - 5.0) < 5e-12
 
-    def test_self_similarity_per_cell(self, vs_cache, vicsek):
-        # share-weighted restriction of the measure to psi_i(E) is exactly 1/N
-        vs = vs_cache("vicsek", 3)
-        w = measure_weights(vs)
-        cells_per_vertex = vs.vertex_cell_count
-        share = vicsek.N ** -3.0 / 4
-        for i in range(5):
-            lo, hi = i * 5 ** 2, (i + 1) * 5 ** 2
-            ids = vs.cell_vertex_ids[lo:hi]
-            total = share * ids.size
-            assert abs(total - 1 / 5) < 1e-12
-            # cross-check through the accumulated vertex weights
-            contrib = sum(share for v in ids.ravel())
-            assert abs(contrib - 1 / 5) < 1e-12
+    def test_self_similarity_per_cell(self, vs_cache):
+        # the measure of psi_i(E) is 1/N: a vertex's weight splits equally
+        # over the cells that hold it, and psi_i(E) gets the share of its own
+        for name, n in (("vicsek", 3), ("gasket", 4)):
+            vs = vs_cache(name, n)
+            N, V = vs.model.N, vs.n_vertices
+            cells = np.bincount(vs.cell_vertex_ids.ravel(), minlength=V)
+            # rows run in word order, so block i holds the cells of psi_{i+1}(E)
+            for block in np.split(vs.cell_vertex_ids, N):
+                inside = np.bincount(block.ravel(), minlength=V)
+                assert abs(np.sum(vs.weights * inside / cells) - 1 / N) < 1e-12
 
 
 class TestAssumption1:
@@ -293,10 +289,10 @@ class TestCellHelpers:
         # hull and reproduce all its corner images among their own
         parent = CellAddress((2, 4))
         assert parent.depth == 2
-        assert parent.diameter(vicsek) == pytest.approx(3.0 ** -2)
         pc = apply_word(vicsek, parent, vicsek.essential_fixed_points)
+        assert np.ptp(pc, axis=0) == pytest.approx([3.0 ** -2] * 2)   # side alpha^-n
         child_corners = np.concatenate([
-            apply_word(vicsek, parent.child(i), vicsek.essential_fixed_points)
+            apply_word(vicsek, CellAddress(parent.word + (i,)), vicsek.essential_fixed_points)
             for i in range(1, 6)])
         lo, hi = pc.min(axis=0), pc.max(axis=0)
         assert (child_corners >= lo - 1e-12).all()

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,13 @@ class TestSemigroup:
         want = np.stack([kern.apply(float(t), v) for t in times])
         assert got.shape == (len(times), kern.n_vertices)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shape", [(76, 76), (76, 3), (75,), ()])
+    def test_apply_refuses_what_is_not_one_vector(self, kernel_cache, shape):
+        # exp(t lam) multiplies the modes along their last axis, so a (V, V)
+        # block would come back scaled along the wrong axis with no error
+        with pytest.raises(KernelError, match=re.escape(f"v has shape {shape}, not (76,)")):
+            kernel_cache("vicsek", 2).apply(0.1, np.ones(shape))
 
     def test_dirichlet_mass_monotone_loss(self, vs_cache):
         kern = HeatKernel(build_generator(vs_cache("vicsek", 2), boundary="dirichlet"))

@@ -70,7 +70,7 @@ class TestGaussianBase:
         assert not np.allclose(a.level_masses(3), b.level_masses(3))
 
     def test_root_mass_unit_variance(self, vicsek):
-        tots = [realize(BaseSM("gaussian_white", seed=s), vicsek, n_max=0).total_mass()
+        tots = [realize(BaseSM("gaussian_white", seed=s), vicsek, n_max=0).level_masses(0)[0]
                 for s in range(4000)]
         assert abs(np.var(tots) - 1.0) < 0.08
 
@@ -137,7 +137,7 @@ class TestAtomicBase:
         # 0.17 lies in (4/25, 5/25], the depth-2 cell with word (1, 5)
         assert real.mass(CellAddress((1, 5))) == 1.0
         assert real.mass(CellAddress((1, 4))) == 0.0
-        assert real.total_mass() == 1.0
+        assert real.level_masses(0)[0] == 1.0
         assert real.additivity_gap() == 0.0
 
     def test_half_open_boundary(self, vicsek):
@@ -177,7 +177,7 @@ class TestIntegrate:
         real = realize(BaseSM("gaussian_white", seed=2), vicsek, n_max=5)
         one = lambda pts: np.ones(len(pts))
         vals = [integrate(one, real, n) for n in range(6)]
-        assert np.allclose(vals, real.total_mass(), atol=1e-12)
+        assert np.allclose(vals, real.level_masses(0)[0], atol=1e-12)
 
     def test_zero(self, vicsek):
         real = realize(BaseSM("gaussian_white", seed=2), vicsek, n_max=3)
@@ -204,25 +204,14 @@ class TestIntegrate:
 class TestBlowupComponents:
     def test_component_weights_default(self, vicsek):
         real = realize(BaseSM("gaussian_white", seed=0), vicsek, M=1, n_max=3)
-        assert real.n_components == 5
+        assert len(real.component_weights) == 5
         assert np.allclose(real.component_weights, 0.5 ** np.arange(1, 6))
 
     def test_additivity_across_components(self, vicsek):
         real = realize(BaseSM("gaussian_white", seed=0), vicsek, M=1, n_max=4)
         assert real.additivity_gap() <= 1e-12
         roots = real.level_masses(1)
-        assert real.total_mass() == pytest.approx(roots.sum(), abs=1e-12)
-
-    def test_custom_weights(self, vicsek):
-        w = np.ones(5)
-        real = realize(BaseSM("gaussian_white", seed=0), vicsek, M=1, n_max=2,
-                       component_weights=w)
-        assert np.allclose(real.component_weights, 1.0)
-
-    def test_weight_count_checked(self, vicsek):
-        with pytest.raises(MeasureError):
-            realize(BaseSM("gaussian_white", seed=0), vicsek, M=1, n_max=2,
-                    component_weights=np.ones(3))
+        assert real.level_masses(0)[0] == pytest.approx(roots.sum(), abs=1e-12)
 
 
 class TestLemma22:
@@ -237,7 +226,7 @@ class TestLemma22:
         fam = lambda l: (lambda pts: np.ones(len(pts)) if l == 1
                          else np.zeros(len(pts)))
         partial, _ = lemma22_diagnostic(fam, real, L=5, n=3)
-        assert np.allclose(partial, real.total_mass() ** 2)
+        assert np.allclose(partial, real.level_masses(0)[0] ** 2)
 
     def test_level_family_vicsek(self, vicsek):
         real = realize(BaseSM("gaussian_white", seed=5), vicsek, n_max=7)

@@ -106,7 +106,9 @@ class TestHFunctionGate:
 
 class TestEvalEta:
     def test_zero_measure(self, hf2, vicsek):
-        real = realize(BaseSM("gaussian_white", seed=1), vicsek, n_max=4).scaled(0.0)
+        real = realize(BaseSM("gaussian_white", seed=1), vicsek, n_max=4)
+        real = dataclasses.replace(real, component_levels=[
+            [0.0 * a for a in lv] for lv in real.component_levels])
         ev = eval_eta(hf2, real, [0.1, 0.5], n_max=4)
         assert np.allclose(ev.eta, 0.0)
 

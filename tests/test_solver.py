@@ -271,7 +271,9 @@ class TestStochasticTerm:
 
     def test_zero_measure(self, vicsek):
         prob = prepare(ProblemSpec(vicsek, level=2, depth=3))
-        prob.realization = prob.realization.scaled(0.0)
+        real = prob.realization
+        prob.realization = dataclasses.replace(real, component_levels=[
+            [0.0 * a for a in lv] for lv in real.component_levels])
         assert np.abs(picard_solve(prob).stochastic).max() == 0.0
 
     def test_atomic_unit_mass_is_h(self, vicsek):
@@ -365,7 +367,8 @@ class TestPicard:
         p1 = prepare(base)
         s1 = picard_solve(p1)
         p2 = prepare(base)
-        p2.realization = p1.realization.scaled(2.0)
+        p2.realization = dataclasses.replace(p1.realization, component_levels=[
+            [2.0 * a for a in lv] for lv in p1.realization.component_levels])
         s2 = picard_solve(p2)
         gap = np.abs((s2.u - s2.deterministic) - 2 * (s1.u - s1.deterministic))
         assert gap.max() < 1e-10

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fractalheat import _text
-from fractalheat.geometry import measure_weights
 from fractalheat.kernel import kernel
 from fractalheat.measure import BaseSM, realize, write_realization
 from fractalheat.paramint import HFunction, eval_eta, sigma_preset
@@ -92,11 +91,11 @@ def ref_kernel_diag(tab, path):
                 f.write(f"{float(t)!r},{j},{float(tab.diag[i, j])!r}\n")
 
 
-def ref_vertices(vs, path, w):
+def ref_vertices(vs, path):
     with open(path, "w", encoding="utf-8") as f:
         cols = ",".join(f"x{i}" for i in range(vs.points.shape[1]))
         f.write(f"vertex_id,{cols},weight\n")
-        for vid, (p, wv) in enumerate(zip(vs.points, w)):
+        for vid, (p, wv) in enumerate(zip(vs.points, vs.weights)):
             coord = ",".join(repr(float(c)) for c in p)
             f.write(f"{vid},{coord},{float(wv)!r}\n")
 
@@ -165,9 +164,7 @@ class TestArtifactBytes:
     @pytest.mark.parametrize("name", ["vicsek", "gasket"])
     def test_vertices(self, vs_cache, tmp_path, name):
         vs = vs_cache(name, 2)
-        w = measure_weights(vs)
-        same_bytes(tmp_path, lambda p: vs.to_csv(p, w),
-                   lambda p: ref_vertices(vs, p, w.weights))
+        same_bytes(tmp_path, vs.to_csv, lambda p: ref_vertices(vs, p))
 
 
 class TestWriteBlock:
