@@ -277,6 +277,11 @@ def _write_manifest(out: str, files) -> str:
     return path
 
 
+def _check_level(cfg: dict) -> None:
+    if cfg["model"].N ** cfg["level"] > MAX_CELLS:
+        raise ValidationError(f"level={cfg['level']} needs more than {MAX_CELLS} cells")
+
+
 def _check_depth(cfg: dict) -> None:
     if cfg["depth"] < cfg["blowup"]:
         raise ValidationError(f"depth={cfg['depth']} below blowup={cfg['blowup']}")
@@ -287,6 +292,7 @@ def _check_depth(cfg: dict) -> None:
 def cmd_model(cfg: dict) -> list[str]:
     """build a model and export its vertex set"""
     from .geometry import vertex_set
+    _check_level(cfg)
     model = cfg["model"]
     vs = vertex_set(model, cfg["level"], cfg["blowup"])
     out = _outdir(cfg)
@@ -314,6 +320,7 @@ def cmd_kernel(cfg: dict) -> list[str]:
     """heat kernel table on a time grid"""
     from .geometry import vertex_set
     from .kernel import DENSE_TABLE_LIMIT, build_generator, kernel
+    _check_level(cfg)
     if cfg["times"] is None:
         _default_window(cfg)
     vs = vertex_set(cfg["model"], cfg["level"], cfg["blowup"])
@@ -359,6 +366,7 @@ def cmd_eta(cfg: dict) -> list[str]:
     from .kernel import HeatKernel, build_generator
     from .measure import realize
     from .paramint import HFunction, eval_eta
+    _check_level(cfg)
     _check_depth(cfg)
     model, T, sigma, times = cfg["model"], cfg["T"], cfg["sigma"], cfg["times"]
     if not sigma.smooth_on(model):
@@ -383,6 +391,7 @@ def cmd_solve(cfg: dict) -> list[str]:
     """Picard solve of the mild equation"""
     from .measure import write_realization
     from .solver import picard_solve, prepare
+    _check_level(cfg)
     _check_depth(cfg)
     spec = ProblemSpec(
         cfg["model"], level=cfg["level"], blowup=cfg["blowup"], boundary=cfg["boundary"],
@@ -399,8 +408,9 @@ def cmd_solve(cfg: dict) -> list[str]:
     files = ["solution.csv", "diagnostics.csv", "realization.txt", "gate.txt"]
     if not sol.converged:
         raise FailedWithArtifacts(
-            f"no convergence in {sol.iterations} Picard sweeps; last sweep "
-            f"sup g_n = {float(sol.g_history[-1].max()):.3e}", files)
+            f"no convergence in {sol.iterations} Picard sweeps; worst last-sweep "
+            f"sup g_n of a window = {max(float(h[-1].max()) for h in sol.g_history):.3e}",
+            files)
     return files
 
 

@@ -205,6 +205,26 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["model", "kernel", "eta", "solve"])
+    def test_level_beyond_cell_budget_refused(self, tmp_path, monkeypatch, command):
+        # a 7-map IFS at level 8 needs 7^8 = 5,764,801 cells; refused before
+        # any vertex set or kernel is built
+        import fractalheat.geometry as geometry
+
+        def not_built(*args, **kwargs):
+            raise AssertionError("built before the level was checked")
+
+        monkeypatch.setattr(geometry, "vertex_set", not_built)
+        monkeypatch.setattr(K, "HeatKernel", not_built)
+        ifs = tmp_path / "seven.ini"
+        ifs.write_text("[model]\nname = seven\nalpha = 3.0\nd_s = 1.0\n[maps]\n"
+                       "p1 = 0,0\np2 = 0,1\np3 = 1,1\np4 = 1,0\np5 = 0.5,0.5\n"
+                       "p6 = 0.5,0\np7 = 0,0.5\n")
+        out = tmp_path / "out"
+        rc = main([command, "--model", str(ifs), "--level", "8", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["eta", "--level", "2", "--sigma", "rough_half"],      # 0.5 <= d_f/2
         ["kernel", "--level", "4", "--format", "binary"],      # V = 1,876

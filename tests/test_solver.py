@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fractalheat.kernel as K
+import fractalheat.solver as solver
 from fractalheat.geometry import CellAddress, build_preset
 from fractalheat.measure import BaseSM, realize
 from fractalheat.paramint import eval_eta, h_matrix, sigma_preset
@@ -15,6 +16,8 @@ from fractalheat.solver import (
     SolverError,
     _det_field,
     _nl_field,
+    _stoch_field,
+    _sweep,
     assumption_gate,
     bump_center,
     f_preset,
@@ -290,60 +293,72 @@ class TestStochasticTerm:
 
 class TestPicard:
     def test_converges_fast(self, sol2):
-        assert sol2.converged and sol2.iterations <= 10
-        # the a-priori factorial prediction lands within one sweep of reality
+        # every window converges within 10 sweeps, and the a-priori factorial
+        # prediction, restarted per window, lands within 2 sweeps of the total
+        assert sol2.converged and max(map(len, sol2.g_history)) <= 10
         assert abs(sol2.predicted_iterations - sol2.iterations) <= 2
 
     def test_initial_row_is_u0(self, prob2, sol2):
         assert np.allclose(sol2.u[0], prob2.u0_values, atol=1e-12)
 
     def test_g1_linear_bound(self, prob2, sol2):
-        cf = prob2.spec.f.c_bound
-        assert np.all(sol2.g_history[1] <= 2 * cf * sol2.times + 1e-6)
+        # a window starts from its linear part, so its first difference is
+        # the Duhamel term of one sweep: g_0 <= C_f (t - t_a)
+        cf, tau = prob2.spec.f.c_bound, sol2.tau
+        for rows, history in zip(sol2.windows, sol2.g_history):
+            assert np.all(history[0] <= cf * tau[rows] + 1e-6)
 
     def test_factorial_bound_at_horizon(self, sol2):
-        for n in range(1, len(sol2.g_history)):
-            gT = float(sol2.g_history[n][-1])
-            if gT <= 1e-10:
-                continue
-            assert gT <= sol2.bound_factorial(n)[-1] * 1.1
+        # at the horizon t_b of every window
+        for rows, history in zip(sol2.windows, sol2.g_history):
+            for n in range(1, len(history)):
+                gT = float(history[n][-1])
+                if gT <= 1e-10:
+                    continue
+                assert gT <= sol2.bound_factorial(n)[rows][-1] * 1.1
 
     def test_derived_factorial_bound_every_seed(self, vicsek):
-        # the chain seeded by g_1 <= 2 C_f t holds with margin for all seeds,
-        # at every grid time (not only the horizon)
+        # the one-index-lower chain holds with margin for all seeds, at every
+        # grid time of every window (not only the horizon)
         for seed in (0, 1, 7, 123):
             prob = prepare(ProblemSpec(vicsek, level=2, depth=4,
                                        base=BaseSM("gaussian_white", seed=seed)))
             sol = picard_solve(prob)
-            for n in range(1, len(sol.g_history)):
-                g = sol.g_history[n]
-                bound = sol.bound_factorial(n - 1)
-                mask = g > 1e-12
-                assert np.all(g[mask] <= bound[mask])
+            for rows, history in zip(sol.windows, sol.g_history):
+                for n in range(1, len(history)):
+                    g = history[n]
+                    bound = sol.bound_factorial(n - 1)[rows]
+                    mask = g > 1e-12
+                    assert np.all(g[mask] <= bound[mask])
 
     def test_g_monotone_in_time(self, sol2):
-        # integral form: g_n nondecreasing in t for n >= 1
-        for g in sol2.g_history[1:6]:
-            assert np.all(np.diff(g) >= -1e-12 - 1e-9 * g.max())
+        # integral form: g_n nondecreasing in t - t_a for n >= 1
+        for history in sol2.g_history:
+            for g in history[1:6]:
+                assert np.all(np.diff(g) >= -1e-12 - 1e-9 * g.max())
 
     def test_f_zero_one_effective_iteration(self, vicsek):
         prob = prepare(ProblemSpec(vicsek, level=2, depth=3, f=f_preset("zero")))
         sol = picard_solve(prob)
-        assert sol.iterations <= 2
+        assert max(map(len, sol.g_history)) <= 2
         assert np.array_equal(sol.u, sol.deterministic + sol.stochastic)
 
     def test_nonconvergence_reported(self, vicsek):
+        # a window that does not converge marks the solve, and the later
+        # windows still run, so u covers every grid time
         spec = ProblemSpec(vicsek, level=2, depth=3, f=f_preset("sin", 24.0),
                            max_iter=6)
         sol = picard_solve(prepare(spec))
-        assert not sol.converged and sol.iterations == 6
+        assert not sol.converged and [len(h) for h in sol.g_history] == [6] * 4
+        assert sol.iterations == 24
+        assert np.isfinite(sol.u).all() and np.abs(sol.u[-1]).max() > 0
 
     def test_looser_stop_tol_stops_earlier(self, vicsek, sol2):
         prob = prepare(ProblemSpec(vicsek, level=2, depth=4, stop_tol=1e-4,
                                    base=BaseSM("gaussian_white", seed=42)))
         sol = picard_solve(prob)
         assert sol.converged and sol.iterations < sol2.iterations
-        assert sol.g_history[-1].max() < 1e-4
+        assert all(h[-1].max() < 1e-4 for h in sol.g_history)
 
     def test_determinism_bitwise(self, prob2, sol2):
         again = picard_solve(prob2)
@@ -351,8 +366,9 @@ class TestPicard:
 
     def test_field_finite_and_g_decreasing(self, sol2):
         assert np.isfinite(sol2.u).all()
-        maxes = [float(g.max()) for g in sol2.g_history[1:]]
-        assert all(a > b for a, b in zip(maxes[:-1], maxes[1:]))
+        for history in sol2.g_history:
+            maxes = [float(g.max()) for g in history[1:]]
+            assert all(a > b for a, b in zip(maxes[:-1], maxes[1:]))
 
     def test_dirichlet_boundary_solve(self, vicsek):
         prob = prepare(ProblemSpec(vicsek, level=2, depth=3, boundary="dirichlet",
@@ -389,6 +405,78 @@ class TestPicard:
         assert gap / np.abs(s3.u).max() < 0.10
 
 
+def _one_window(prob, monkeypatch):
+    """The solve with one window as long as the grid: the global Picard map."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "PICARD_WINDOW", prob.spec.n_steps)
+        return picard_solve(prob)
+
+
+class TestWindows:
+    """The windowed sweep converges to the fixed point of the global map."""
+
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("boundary", ["reflecting", "dirichlet"])
+    def test_matches_one_window(self, vicsek, monkeypatch, level, boundary):
+        prob = prepare(ProblemSpec(vicsek, level=level, depth=4, boundary=boundary,
+                                   base=BaseSM("gaussian_white", seed=42)))
+        sol, one = picard_solve(prob), _one_window(prob, monkeypatch)
+        assert len(sol.windows) == 4 and len(one.windows) == 1
+        assert sol.converged and one.converged
+        assert np.abs(sol.u - one.u).max() <= 1e-9
+
+    @pytest.mark.parametrize("n_steps", [2, 17, 20])
+    def test_step_counts_off_the_window(self, vicsek, monkeypatch, n_steps):
+        prob = prepare(ProblemSpec(vicsek, level=2, depth=4, n_steps=n_steps,
+                                   base=BaseSM("gaussian_white", seed=3)))
+        sol, one = picard_solve(prob), _one_window(prob, monkeypatch)
+        # every grid row is owned by one window; only the last is shorter
+        owned = np.concatenate([np.arange(n_steps + 1)[rows] for rows in sol.windows])
+        assert np.array_equal(owned, np.arange(n_steps + 1))
+        sizes = [rows.stop - max(rows.start - 1, 0) - 1 for rows in sol.windows]
+        assert sizes == [16] * (n_steps // 16) + [n_steps % 16] * bool(n_steps % 16)
+        assert [len(g) for h in sol.g_history for g in h] == \
+            [rows.stop - rows.start for rows, h in zip(sol.windows, sol.g_history) for _ in h]
+        assert sol.converged and np.abs(sol.u - one.u).max() <= 1e-9
+
+    def test_dropped_carry_is_caught(self, prob2, sol2, monkeypatch):
+        # without P_{t - t_a} N(t_a) the windows forget the nonlinear term
+        # before t_a: both the match and the global residual see it
+        frozen = _det_field(prob2) + _stoch_field(prob2)
+        monkeypatch.setattr(prob2.kernel, "apply",
+                            lambda t, v: np.zeros((len(t), len(v))))
+        u, *_ = _sweep(prob2, frozen)
+        monkeypatch.undo()
+        one = _one_window(prob2, monkeypatch)
+        assert np.abs(u - one.u).max() > 1e-3
+        assert mild_residual(prob2, dataclasses.replace(sol2, u=u)) > 4e-8
+        assert mild_residual(prob2, sol2) <= 4e-8
+
+    @pytest.mark.parametrize("boundary", ["reflecting", "dirichlet"])
+    def test_window_bounds_at_every_time(self, vicsek, boundary):
+        # g_0 <= C_f tau, g_n <= printed bound x 1.1 and the one-index-lower
+        # chain, with tau = t - t_a, at every time of every window
+        for seed in (0, 1, 7, 123):
+            prob = prepare(ProblemSpec(vicsek, level=2, depth=4, boundary=boundary,
+                                       base=BaseSM("gaussian_white", seed=seed)))
+            sol = picard_solve(prob)
+            cf, tau = prob.spec.f.c_bound, sol.tau
+            for rows, history in zip(sol.windows, sol.g_history):
+                assert np.all(history[0] <= cf * tau[rows])
+                for n in range(1, len(history)):
+                    g, big = history[n], history[n] > 1e-12
+                    assert np.all(g[big] <= sol.bound_factorial(n)[rows][big] * 1.1)
+                    assert np.all(g[big] <= sol.bound_factorial(n - 1)[rows][big])
+
+    def test_bound_restarts_at_every_window(self, sol2):
+        tau = sol2.tau
+        assert tau[0] == 0 and np.all(tau[1:] > 0)
+        ends = [rows.stop - 1 for rows in sol2.windows]
+        assert np.allclose(tau[ends], 0.25, rtol=0, atol=1e-15)
+        assert np.allclose(tau[17], 1 / 64, rtol=0, atol=1e-15)
+        assert np.array_equal(sol2.bound_factorial(0), 2 * 0.5 * tau)
+
+
 class TestUniquenessAndResidual:
     def test_two_starts_same_fixed_point(self, prob2):
         assert uniqueness_check(prob2) <= 1e-7
@@ -408,6 +496,21 @@ class TestSpecValidation:
     def test_depth_below_blowup(self, vicsek):
         with pytest.raises(SolverError):
             ProblemSpec(vicsek, blowup=2, depth=1)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_horizon_not_finite(self, vicsek, T):
+        with pytest.raises(SolverError, match="finite T"):
+            ProblemSpec(vicsek, T=T)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_stop_tol_finite_and_positive(self, vicsek, tol):
+        with pytest.raises(SolverError, match="stop_tol"):
+            ProblemSpec(vicsek, stop_tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_at_least_one(self, vicsek, max_iter):
+        with pytest.raises(SolverError, match="max_iter"):
+            ProblemSpec(vicsek, max_iter=max_iter)
 
     def test_preset_constants(self):
         f = f_preset("sin", 0.5)

@@ -42,10 +42,11 @@ def ref_solution(sol, path):
 def ref_diagnostics(sol, path):
     with open(path, "w", encoding="utf-8") as f:
         f.write("n,t,g_n,bound_factorial\n")
-        for n, g in enumerate(sol.g_history):
-            bnd = sol.bound_factorial(n)
-            for t, gv, bv in zip(sol.times, g, bnd):
-                f.write(f"{n},{float(t)!r},{float(gv)!r},{float(bv)!r}\n")
+        for rows, history in zip(sol.windows, sol.g_history):
+            for n, g in enumerate(history):
+                bnd = sol.bound_factorial(n)[rows]
+                for t, gv, bv in zip(sol.times[rows], g, bnd):
+                    f.write(f"{n},{float(t)!r},{float(gv)!r},{float(bv)!r}\n")
 
 
 def ref_realization(real, path):

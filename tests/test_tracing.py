@@ -87,3 +87,29 @@ def test_workload_fingerprints_read_cli_outputs(tmp_path):
         "solve-l3": {"rc": 0, "problems": [], "keys": ["sup_u", "sup_u_T"]},
         "eta-l4": {"rc": 0, "problems": [], "keys": ["eta_T_x"]},
     }
+
+
+NONCONVERGED = """
+import json, os, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(sys.argv[1], "perfbench"))
+import workloads
+import fractalheat.cli as cli
+out = os.path.join(sys.argv[2], "solve")
+rc = cli.main(["solve", "--level", "2", "--depth", "3", "--f", "sin:24", "--out", out])
+problems = []
+workloads.SolveL3(1, "small", sys.argv[2], None).fingerprint(out, problems)
+print(json.dumps({"rc": rc, "problems": problems}))
+"""
+
+
+def test_solve_fingerprint_flags_nonconverged_windows(tmp_path):
+    # the CLI writes diagnostics.csv for a solve whose windows did not
+    # converge; the benchmark's answer check must still refuse it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", NONCONVERGED, str(ROOT), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["rc"] != 0
+    assert len(got["problems"]) == 1 and got["problems"][0].startswith("not converged")
